@@ -1,10 +1,9 @@
-//! Big-mesh batched sweep: the 16×16 point matrix behind the `big-mesh`
-//! CI job.
+//! Big-mesh sweep: the 16×16 point matrix behind the `big-mesh` CI job.
 //!
 //! Runs the same scheme × rate matrix as the `big_mesh_golden` test —
 //! FastPass + plain VCT on a 16×16 mesh, uniform traffic, fixed seed —
-//! with every point interleaved through
-//! [`noc_sim::batch::run_windows_batched`], and prints one summary line
+//! one point after another through [`noc_sim::Simulation::run_windows`],
+//! and prints one summary line
 //! per point (delivered/generated counts plus the FNV-1a hash of the
 //! fully serialized `NetStats`, the same hash the golden fixture
 //! stores). It then re-runs the lowest-rate FastPass point with full
@@ -24,7 +23,6 @@
 
 use bench::runner::make_sim;
 use bench::{run_traced_point, trace_out_dir, SchemeId, SweepSpec};
-use noc_sim::{run_windows_batched, Simulation};
 use noc_trace::{TraceConfig, TraceLevel};
 use traffic::SyntheticPattern;
 
@@ -64,17 +62,19 @@ fn main() {
         SCHEMES.iter().map(|&id| (id, RATES[0])).collect()
     };
 
-    let mut sims: Vec<Simulation> = points
-        .iter()
-        .map(|&(id, rate)| make_sim(id, SyntheticPattern::Uniform, rate, MESH_SIZE, FP_VCS, SEED))
-        .collect();
     let start = std::time::Instant::now();
-    let all = run_windows_batched(&mut sims, WARMUP, MEASURE);
+    let all: Vec<_> = points
+        .iter()
+        .map(|&(id, rate)| {
+            make_sim(id, SyntheticPattern::Uniform, rate, MESH_SIZE, FP_VCS, SEED)
+                .run_windows(WARMUP, MEASURE)
+        })
+        .collect();
     let elapsed = start.elapsed().as_secs_f64();
 
     let scope = if full { "full" } else { "smoke" };
     println!(
-        "big_mesh: {} {}x{} points ({scope} scope), batched, {:.2}s wall",
+        "big_mesh: {} {}x{} points ({scope} scope), serial, {:.2}s wall",
         points.len(),
         MESH_SIZE,
         MESH_SIZE,
@@ -97,8 +97,8 @@ fn main() {
         );
     }
 
-    // Artifact pass: the lowest-rate FastPass point, re-run serially
-    // with full tracing + windowed telemetry so CI has a 16x16 Chrome
+    // Artifact pass: the lowest-rate FastPass point, re-run with full
+    // tracing + windowed telemetry so CI has a 16x16 Chrome
     // trace / metrics / lifetime / window-series bundle to archive.
     let spec = SweepSpec {
         id: SchemeId::FastPass,

@@ -61,10 +61,6 @@ fn headline(label: &str) {
     // Warm the allocator/caches with one throwaway sweep.
     hotbench::run_sweep(None);
     let m = hotbench::measure(None, DEFAULT_REPS);
-    // Same sweep through the batched executor (identical per-point
-    // results, interleaved schedule) — reported alongside the serial
-    // headline so both lanes accumulate perf history.
-    let mb = hotbench::measure_batched(None, DEFAULT_REPS);
     let mut report = BenchReport::new("hotpath");
     report
         .push_str("label", label)
@@ -73,7 +69,6 @@ fn headline(label: &str) {
         .push_u64("total_cycles", m.total_cycles)
         .push_u64("total_delivered", m.total_delivered);
     push_measurement(&mut report, "", &m);
-    push_measurement(&mut report, "batched_", &mb);
     println!("{}", report.to_json_pretty());
 }
 

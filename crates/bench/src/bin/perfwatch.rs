@@ -26,8 +26,6 @@ use std::path::PathBuf;
 
 const BENCH_NAME: &str = "hotpath";
 const METRIC: &str = "cycles_per_sec";
-/// Second gated lane: the same sweep through the batched executor.
-const METRIC_BATCHED: &str = "batched_cycles_per_sec";
 
 struct Args {
     history: PathBuf,
@@ -90,69 +88,59 @@ fn main() {
 
     hotbench::run_sweep(None); // warm allocator/caches
     let m = hotbench::measure(None, args.reps);
-    let mb = hotbench::measure_batched(None, args.reps);
+    let value = m.cps_best;
     println!(
-        "perfwatch: {} = {:.0} (mean {:.0}), {} = {:.0} (mean {:.0}) over {}",
+        "perfwatch: {} = {:.0} (mean {:.0}) over {}",
         METRIC,
-        m.cps_best,
+        value,
         m.cps_mean,
-        METRIC_BATCHED,
-        mb.cps_best,
-        mb.cps_mean,
         hotbench::workload_description(args.reps)
     );
 
-    // Both lanes are judged against their own baselines with the same
-    // threshold; either regressing fails the run. Rows are appended
-    // before the verdict so a failing run still extends the history.
-    let mut failed = false;
-    for (metric, value) in [(METRIC, m.cps_best), (METRIC_BATCHED, mb.cps_best)] {
-        let verdict = judge(&history, BENCH_NAME, metric, value, args.threshold);
-        let row = PerfRow {
-            git_sha: bench::git_sha(),
-            bench_name: BENCH_NAME.to_string(),
-            metric: metric.to_string(),
-            value,
-        };
-        if let Err(e) = append_row(&args.history, &row) {
-            eprintln!("perfwatch: appending to {}: {e}", args.history.display());
-            std::process::exit(2);
-        }
-        println!(
-            "perfwatch: recorded {} row for {} in {}",
-            metric,
-            row.git_sha,
-            args.history.display()
-        );
-
-        match verdict {
-            Verdict::NoBaseline => {
-                println!("perfwatch: {metric}: no prior baseline — this run seeds the history. OK");
-            }
-            Verdict::Ok { baseline, ratio } => {
-                println!(
-                    "perfwatch: {}: {:.0} vs baseline {:.0} ({:+.1}%) within {:.0}% gate. OK",
-                    metric,
-                    value,
-                    baseline,
-                    (ratio - 1.0) * 100.0,
-                    args.threshold * 100.0
-                );
-            }
-            Verdict::Regression { baseline, ratio } => {
-                eprintln!(
-                    "perfwatch: REGRESSION — {}: {:.0} vs baseline {:.0} ({:.1}% drop, gate {:.0}%)",
-                    metric,
-                    value,
-                    baseline,
-                    (1.0 - ratio) * 100.0,
-                    args.threshold * 100.0
-                );
-                failed = true;
-            }
-        }
+    // The row is appended before the verdict so a failing run still
+    // extends the history.
+    let verdict = judge(&history, BENCH_NAME, METRIC, value, args.threshold);
+    let row = PerfRow {
+        git_sha: bench::git_sha(),
+        bench_name: BENCH_NAME.to_string(),
+        metric: METRIC.to_string(),
+        value,
+    };
+    if let Err(e) = append_row(&args.history, &row) {
+        eprintln!("perfwatch: appending to {}: {e}", args.history.display());
+        std::process::exit(2);
     }
-    if failed {
-        std::process::exit(1);
+    println!(
+        "perfwatch: recorded {} row for {} in {}",
+        METRIC,
+        row.git_sha,
+        args.history.display()
+    );
+
+    match verdict {
+        Verdict::NoBaseline => {
+            println!("perfwatch: {METRIC}: no prior baseline — this run seeds the history. OK");
+        }
+        Verdict::Ok { baseline, ratio } => {
+            println!(
+                "perfwatch: {}: {:.0} vs baseline {:.0} ({:+.1}%) within {:.0}% gate. OK",
+                METRIC,
+                value,
+                baseline,
+                (ratio - 1.0) * 100.0,
+                args.threshold * 100.0
+            );
+        }
+        Verdict::Regression { baseline, ratio } => {
+            eprintln!(
+                "perfwatch: REGRESSION — {}: {:.0} vs baseline {:.0} ({:.1}% drop, gate {:.0}%)",
+                METRIC,
+                value,
+                baseline,
+                (1.0 - ratio) * 100.0,
+                args.threshold * 100.0
+            );
+            std::process::exit(1);
+        }
     }
 }

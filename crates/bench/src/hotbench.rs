@@ -11,13 +11,6 @@
 //! separately and the *fastest* repetition is the headline number: on
 //! shared machines the minimum is the best estimator of true cost
 //! (interference only ever adds time).
-//!
-//! Two execution schedules of the same sweep are measured: *serial*
-//! (points back to back, the historical `cycles_per_sec` headline) and
-//! *batched* (all points interleaved through
-//! [`noc_sim::batch::run_windows_batched`], reported as
-//! `batched_cycles_per_sec`). Per-point results are bitwise identical
-//! either way; only the wall-clock differs.
 
 use crate::runner::make_sim;
 use crate::SchemeId;
@@ -108,73 +101,9 @@ pub fn run_sweep(trace: Option<TraceLevel>) -> (u64, u64) {
     run_sweep_with(trace, |_| {})
 }
 
-/// Builds the six sweep simulations in sweep order (scheme-major, rate
-/// within), invoking `on_sim` on each before it runs — the batched
-/// counterpart of [`run_sweep_with`]'s construction.
-pub fn build_sweep_sims(
-    trace: Option<TraceLevel>,
-    mut on_sim: impl FnMut(&mut Simulation),
-) -> Vec<Simulation> {
-    let mut sims = Vec::with_capacity(SCHEMES.len() * RATES.len());
-    for id in SCHEMES {
-        for rate in RATES {
-            let mut sim = make_sim(id, SyntheticPattern::Uniform, rate, MESH_SIZE, FP_VCS, SEED);
-            if let Some(level) = trace {
-                sim.set_trace(&TraceConfig {
-                    level,
-                    ..TraceConfig::default()
-                });
-            }
-            on_sim(&mut sim);
-            sims.push(sim);
-        }
-    }
-    sims
-}
-
-/// Runs the benchmark sweep once through the batched executor
-/// ([`noc_sim::batch`]): all six points interleave through one hot loop
-/// instead of running back to back. Per-point results are bitwise
-/// identical to [`run_sweep`] (enforced by the `batched_equivalence`
-/// test); only the execution schedule differs. Returns
-/// `(cycles, delivered)` aggregated exactly as [`run_sweep`] does.
-///
-/// # Panics
-///
-/// Panics if any point delivers nothing — a wedged scheme would
-/// otherwise benchmark infinitely fast.
-pub fn run_sweep_batched(trace: Option<TraceLevel>) -> (u64, u64) {
-    let mut sims = build_sweep_sims(trace, |_| {});
-    let all = noc_sim::batch::run_windows_batched(&mut sims, WARMUP, MEASURE);
-    let mut cycles = 0u64;
-    let mut delivered = 0u64;
-    for (stats, sim) in all.iter().zip(&sims) {
-        cycles += WARMUP + stats.cycles;
-        delivered += stats.delivered();
-        assert!(
-            stats.delivered() > 0,
-            "{} delivered nothing (batched)",
-            sim.scheme_name()
-        );
-    }
-    (cycles, delivered)
-}
-
 /// Times `reps` repetitions of the sweep (after the caller has warmed
 /// caches with a throwaway [`run_sweep`]).
 pub fn measure(trace: Option<TraceLevel>, reps: u64) -> Measurement {
-    measure_with(reps, || run_sweep(trace))
-}
-
-/// Times `reps` repetitions of the *batched* sweep — identical
-/// workload, identical per-point results, batched execution schedule
-/// ([`run_sweep_batched`]). Reported separately by `hotpath` and gated
-/// separately by `perfwatch` (`batched_cycles_per_sec`).
-pub fn measure_batched(trace: Option<TraceLevel>, reps: u64) -> Measurement {
-    measure_with(reps, || run_sweep_batched(trace))
-}
-
-fn measure_with(reps: u64, mut sweep: impl FnMut() -> (u64, u64)) -> Measurement {
     let mut total_cycles = 0u64;
     let mut total_delivered = 0u64;
     let mut total_secs = 0f64;
@@ -182,7 +111,7 @@ fn measure_with(reps: u64, mut sweep: impl FnMut() -> (u64, u64)) -> Measurement
     let mut sweep_cycles = 0u64;
     for _ in 0..reps {
         let start = Instant::now();
-        let (cycles, delivered) = sweep();
+        let (cycles, delivered) = run_sweep(trace);
         let secs = start.elapsed().as_secs_f64();
         total_cycles += cycles;
         total_delivered += delivered;
@@ -211,13 +140,6 @@ mod tests {
         assert!(m.total_delivered > 0);
         assert!(m.cps_best > 0.0 && m.cps_best.is_finite());
         assert!(m.best <= m.total_secs);
-    }
-
-    #[test]
-    fn batched_sweep_matches_serial_totals() {
-        let serial = run_sweep(None);
-        let batched = run_sweep_batched(None);
-        assert_eq!(batched, serial, "(cycles, delivered) diverged");
     }
 
     #[test]

@@ -53,14 +53,14 @@ pub mod flight_event {
     /// and `kind` (one of [`KIND_MEMORY`], [`KIND_STORE`],
     /// [`KIND_DEDUP`], [`KIND_ENQUEUED`]).
     pub const RESOLVED: &str = "resolved";
-    /// A worker claimed a queued point; carries `key`, `worker` and the
-    /// queue wait in `wall_ms`.
+    /// A worker claimed a queued point; carries `key`, `worker`,
+    /// `points` (always 1) and `cycles`.
     pub const CLAIMED: &str = "claimed";
-    /// A worker began simulating a claimed batch; carries `worker` and
-    /// `points`.
+    /// A worker began simulating a claimed batch — always exactly one
+    /// point; carries `key`, `worker`, `points` (1) and `cycles`.
     pub const BATCH_STARTED: &str = "batch_started";
-    /// A batch finished; carries `worker`, `points`, `wall_ms` and
-    /// `cycles` (warmup + measure window per point).
+    /// A batch (one point) finished; carries `worker`, `points` (1),
+    /// `wall_ms` and `cycles` (the point's warmup + measure window).
     pub const BATCH_DONE: &str = "batch_done";
     /// A computed point landed in the on-disk store; carries `key` and
     /// `worker`.
@@ -103,9 +103,9 @@ pub struct FlightRecord {
     pub kind: Option<String>,
     /// Worker id, for worker-scoped events.
     pub worker: Option<u64>,
-    /// Point count (job total or batch size).
+    /// Point count (job total, or 1 on worker batch records).
     pub points: Option<u64>,
-    /// Wall-clock milliseconds (batch duration, queue wait).
+    /// Wall-clock milliseconds (one-point batch duration).
     pub wall_ms: Option<u64>,
     /// Simulated cycles per point (warmup + measure).
     pub cycles: Option<u64>,
@@ -188,7 +188,7 @@ impl Deserialize for FlightRecord {
 /// One named counter or gauge reading in a [`MetricsReport`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricValue {
-    /// Metric name (statsd-compatible, unprefixed).
+    /// Metric name (unprefixed).
     pub name: String,
     /// Current value (counters: lifetime total; gauges: last sample).
     pub value: u64,
@@ -219,7 +219,8 @@ pub struct HistogramSummary {
 pub struct WorkerReport {
     /// Worker id (0-based).
     pub worker: u64,
-    /// Batches this worker has simulated.
+    /// Batches this worker has simulated. A batch is one point, so this
+    /// equals `points`; both stay on the wire for existing clients.
     pub batches: u64,
     /// Points this worker has simulated.
     pub points: u64,

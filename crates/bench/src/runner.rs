@@ -305,16 +305,6 @@ pub fn simulate_point(spec: &SweepSpec, rate: f64) -> LatencyPoint {
         spec.seed,
     );
     let stats = sim.run_windows(spec.warmup, spec.measure);
-    latency_point(rate, &stats)
-}
-
-/// Reduces one finished run's [`NetStats`] to the stored
-/// [`LatencyPoint`]. Shared by [`simulate_point`] and the daemon's
-/// batched workers so both paths derive identical points from identical
-/// stats.
-///
-/// [`NetStats`]: noc_core::stats::NetStats
-pub fn latency_point(rate: f64, stats: &noc_core::stats::NetStats) -> LatencyPoint {
     LatencyPoint {
         rate,
         avg_latency: stats.avg_latency(),

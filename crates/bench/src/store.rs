@@ -78,9 +78,7 @@ pub const CACHE_SCHEMA_VERSION: u32 = 3;
 pub struct Provenance {
     /// Wall-clock milliseconds since the Unix epoch at store time.
     pub unix_ms: u64,
-    /// Wall-clock milliseconds the computation took. Daemon workers
-    /// simulate same-window batches in lockstep, so batched points share
-    /// their batch's wall time.
+    /// Wall-clock milliseconds this point's simulation took.
     pub wall_ms: u64,
     /// Daemon worker id that simulated the point; `None` means the
     /// batch executor computed it in-process.

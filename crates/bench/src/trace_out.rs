@@ -26,8 +26,7 @@
 use crate::runner::{make_sim, SweepSpec};
 use crate::telemetry::{merge_counter_tracks, windows_json};
 use noc_sim::SamplerConfig;
-use noc_trace::{chrome_trace_json, packet_lifetimes, TraceConfig, Tracer};
-use serde::Content;
+use noc_trace::{check_trace_structure, chrome_trace_json, packet_lifetimes, TraceConfig, Tracer};
 use std::path::{Path, PathBuf};
 
 /// Summary of one validated Chrome trace file.
@@ -49,16 +48,10 @@ pub struct TraceCheckSummary {
     pub has_bypass_lane: bool,
 }
 
-fn map_get<'a>(entries: &'a [(String, Content)], key: &str) -> Option<&'a Content> {
-    entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
 /// Validates a Chrome `trace_event` JSON document produced by
-/// [`chrome_trace_json`] (plus merged telemetry counter tracks): a
-/// top-level array whose every element carries a `name`, a known phase
-/// (`X`/`i`/`M`/`C`), integral `pid`/`tid`, a timestamp on non-metadata
-/// events, a positive duration on complete events, an instant scope on
-/// instants, and an `args` object on counters.
+/// [`chrome_trace_json`] (plus merged telemetry counter tracks): the
+/// shared structural rules of [`check_trace_structure`], plus at least
+/// one non-metadata event.
 ///
 /// With `require_bypass`, the trace must additionally contain both
 /// regular link traversals (`"link"`) and bypass lane traversals
@@ -86,84 +79,22 @@ pub fn check_chrome_trace_full(
     require_bypass: bool,
     require_counters: bool,
 ) -> Result<TraceCheckSummary, String> {
-    let doc: Content = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e:?}"))?;
-    let Content::Seq(events) = doc else {
-        return Err("top level must be a JSON array of trace events".to_string());
+    let events = check_trace_structure(json)?;
+    let count = |ph: char| events.iter().filter(|e| e.ph == ph).count();
+    let traversal = |name: &str| {
+        events
+            .iter()
+            .any(|e| e.name == name && matches!(e.ph, 'X' | 'i'))
     };
-    let mut summary = TraceCheckSummary {
+    let summary = TraceCheckSummary {
         events: events.len(),
-        complete: 0,
-        instants: 0,
-        metadata: 0,
-        counters: 0,
-        has_regular_link: false,
-        has_bypass_lane: false,
+        complete: count('X'),
+        instants: count('i'),
+        metadata: count('M'),
+        counters: count('C'),
+        has_regular_link: traversal("link"),
+        has_bypass_lane: traversal("lane"),
     };
-    for (i, ev) in events.iter().enumerate() {
-        let Content::Map(entries) = ev else {
-            return Err(format!("event #{i} is not a JSON object"));
-        };
-        let name = map_get(entries, "name")
-            .and_then(Content::as_str)
-            .ok_or_else(|| format!("event #{i} has no string `name`"))?;
-        let ph = map_get(entries, "ph")
-            .and_then(Content::as_str)
-            .ok_or_else(|| format!("event #{i} ({name}) has no string `ph`"))?;
-        if map_get(entries, "pid").and_then(Content::as_u64).is_none() {
-            return Err(format!("event #{i} ({name}) has no integral `pid`"));
-        }
-        // `tid` is optional only on process-scoped metadata
-        // (`process_name` has no thread); everything else needs a track.
-        let has_tid = map_get(entries, "tid").and_then(Content::as_u64).is_some();
-        let process_scoped = ph == "M" && name == "process_name";
-        if !has_tid && !process_scoped {
-            return Err(format!("event #{i} ({name}) has no integral `tid`"));
-        }
-        match ph {
-            "M" => summary.metadata += 1,
-            "X" | "i" => {
-                if map_get(entries, "ts").and_then(Content::as_u64).is_none() {
-                    return Err(format!("event #{i} ({name}) has no integral `ts`"));
-                }
-                if ph == "X" {
-                    summary.complete += 1;
-                    match map_get(entries, "dur").and_then(Content::as_u64) {
-                        Some(d) if d >= 1 => {}
-                        _ => return Err(format!("complete event #{i} ({name}) needs `dur` >= 1")),
-                    }
-                } else {
-                    summary.instants += 1;
-                    if map_get(entries, "s").and_then(Content::as_str).is_none() {
-                        return Err(format!("instant event #{i} ({name}) has no scope `s`"));
-                    }
-                }
-                match name {
-                    "link" => summary.has_regular_link = true,
-                    "lane" => summary.has_bypass_lane = true,
-                    _ => {}
-                }
-            }
-            "C" => {
-                summary.counters += 1;
-                if map_get(entries, "ts").and_then(Content::as_u64).is_none() {
-                    return Err(format!("counter event #{i} ({name}) has no integral `ts`"));
-                }
-                match map_get(entries, "args") {
-                    Some(Content::Map(_)) => {}
-                    _ => {
-                        return Err(format!(
-                            "counter event #{i} ({name}) needs an `args` object of series"
-                        ))
-                    }
-                }
-            }
-            other => {
-                return Err(format!(
-                    "event #{i} ({name}) has unknown phase {other:?} (expected X, i, M or C)"
-                ))
-            }
-        }
-    }
     if summary.events == summary.metadata {
         return Err("trace holds only metadata — no simulation events recorded".to_string());
     }

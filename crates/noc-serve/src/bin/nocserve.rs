@@ -1,16 +1,13 @@
 //! The sweep-service daemon.
 //!
 //! ```text
-//! nocserve [--sock PATH] [--store DIR] [--jobs N] [--batch N]
-//!          [--statsd TARGET] [--flight PATH] [--tick-ms N]
+//! nocserve [--sock PATH] [--store DIR] [--jobs N] [--flight PATH] [--tick-ms N]
 //! ```
 //!
 //! Flags override the environment ([`ServeConfig::from_env`]:
 //! `NOC_SERVE_SOCK`/`NOC_SERVE`, `NOC_SERVE_STORE`/`FP_CACHE`,
-//! `NOC_JOBS`, `NOC_SERVE_BATCH`, `NOC_SERVE_STATSD`,
-//! `NOC_SERVE_FLIGHT`, `NOC_SERVE_TICK_MS`). `--statsd` takes a file
-//! path or `udp://host:port`; `--flight` names the JSONL lifecycle log
-//! `nocctl flight` consumes. Runs in the foreground until a client
+//! `NOC_JOBS`, `NOC_SERVE_FLIGHT`, `NOC_SERVE_TICK_MS`). `--flight`
+//! names the JSONL lifecycle log `nocctl flight` consumes. Runs in the foreground until a client
 //! sends `shutdown`; drive it with `nocctl` or any figure binary's
 //! `--serve` mode.
 
@@ -18,7 +15,8 @@ use noc_serve::{serve, ServeConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: nocserve [--sock PATH] [--store DIR] [--jobs N] [--batch N] [--statsd TARGET] [--flight PATH] [--tick-ms N]";
+const USAGE: &str =
+    "usage: nocserve [--sock PATH] [--store DIR] [--jobs N] [--flight PATH] [--tick-ms N]";
 
 fn main() -> ExitCode {
     let mut config = ServeConfig::from_env();
@@ -31,7 +29,6 @@ fn main() -> ExitCode {
         let outcome = match arg.as_str() {
             "--sock" => value("--sock").map(|v| config.socket = PathBuf::from(v)),
             "--store" => value("--store").map(|v| config.store_dir = PathBuf::from(v)),
-            "--statsd" => value("--statsd").map(|v| config.statsd = Some(v)),
             "--flight" => value("--flight").map(|v| config.flight = Some(PathBuf::from(v))),
             "--tick-ms" => value("--tick-ms").and_then(|v| {
                 v.parse()
@@ -44,11 +41,6 @@ fn main() -> ExitCode {
                 v.parse()
                     .map(|n| config.workers = n)
                     .map_err(|_| format!("--jobs wants a number, got `{v}`"))
-            }),
-            "--batch" => value("--batch").and_then(|v| {
-                v.parse()
-                    .map(|n| config.batch = n)
-                    .map_err(|_| format!("--batch wants a number, got `{v}`"))
             }),
             "--help" | "-h" => {
                 println!("{USAGE}");

@@ -9,30 +9,31 @@
 //! submit is memory (resolved this lifetime), then the on-disk store,
 //! then the queue.
 //!
-//! Workers claim queued points in batches that share a
-//! `(warmup, measure)` window shape and run them through
-//! [`noc_sim::batch::run_windows_batched`] over sims built by
-//! [`bench::runner::make_sim`] — the same entry points as the batch
-//! executor, which is the whole bitwise-equivalence argument: a point's
-//! bytes depend only on its key inputs, never on which path (or which
-//! batch) computed it. A panicking point poisons only its batch: the
-//! worker catches the unwind, marks those keys `Failed` and keeps
-//! serving.
+//! Each worker claims the next queued point and computes it with
+//! [`bench::runner::simulate_point`] — the batch executor's own entry
+//! point, which is the whole bitwise-equivalence argument: a point's
+//! bytes depend only on its key inputs, never on which executor
+//! computed it. A panicking point poisons only itself: the worker
+//! catches the unwind, marks that key `Failed` and keeps serving.
+//! Worker telemetry speaks in batches (`batch_started`/`batch_done`
+//! records, the `batch_wall_ms` histogram,
+//! [`bench::WorkerReport::batches`]) because clients read those names;
+//! a batch is always exactly one point.
 //!
 //! Observability rides alongside, never inside, the engine lock: every
 //! lifecycle step updates the lock-free [`MetricsRegistry`] and
 //! publishes a [`FlightRecord`] to the [`FlightBus`] *after* dropping
-//! the state lock, and a sampler tick thread turns the registry into
-//! statsd lines and queue-depth flight samples every
-//! [`ServeConfig::tick_ms`]. Points computed by workers are persisted
-//! with a [`Provenance`] stamp (wall time, worker id, daemon git sha)
-//! so a fetched result can say where it came from.
+//! the state lock, and a sampler tick thread samples the registry's
+//! gauges and worker utilization and publishes a queue-depth flight
+//! record every [`ServeConfig::tick_ms`]. Points computed by workers
+//! are persisted with a [`Provenance`] stamp (the point's own wall
+//! time, worker id, daemon git sha) so a fetched result can say where
+//! it came from.
 
 use crate::flight::FlightBus;
 use crate::metrics::MetricsRegistry;
-use crate::statsd::StatsdSink;
 use bench::proto::{flight_event, StatusReport};
-use bench::runner::{latency_point, make_sim};
+use bench::runner::simulate_point;
 use bench::store::{format_key, Provenance};
 use bench::{
     point_cache_key, FlightRecord, LatencyPoint, MetricsReport, Store, SweepResult, SweepSpec,
@@ -55,15 +56,10 @@ pub struct ServeConfig {
     pub store_dir: PathBuf,
     /// Worker threads simulating points.
     pub workers: usize,
-    /// Max points per worker claim (same-window batch).
-    pub batch: usize,
-    /// statsd target (file path or `udp://host:port`), if telemetry is
-    /// wanted.
-    pub statsd: Option<String>,
     /// Flight-recorder JSONL path, if lifecycle logging is wanted.
     pub flight: Option<PathBuf>,
     /// Sampler tick period: gauge sampling, worker utilization and the
-    /// statsd drain all run at this cadence.
+    /// queue-depth flight record all run at this cadence.
     pub tick_ms: u64,
 }
 
@@ -76,8 +72,6 @@ impl ServeConfig {
     ///   `results/cache` — deliberately the batch executor's default, so
     ///   daemon and batch runs share one store;
     /// * `NOC_JOBS` workers (default: available cores);
-    /// * `NOC_SERVE_BATCH` points per claim (default 4);
-    /// * `NOC_SERVE_STATSD` telemetry target (default: off);
     /// * `NOC_SERVE_FLIGHT` flight-recorder JSONL path (default: off);
     /// * `NOC_SERVE_TICK_MS` sampler period (default 500).
     pub fn from_env() -> ServeConfig {
@@ -90,11 +84,6 @@ impl ServeConfig {
                 .or_else(|| env("FP_CACHE"))
                 .map_or_else(|| PathBuf::from("results/cache"), PathBuf::from),
             workers: bench::num_jobs(),
-            batch: env("NOC_SERVE_BATCH")
-                .and_then(|s| s.parse().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(4),
-            statsd: env("NOC_SERVE_STATSD"),
             flight: env("NOC_SERVE_FLIGHT").map(PathBuf::from),
             tick_ms: env("NOC_SERVE_TICK_MS")
                 .and_then(|s| s.parse().ok())
@@ -139,14 +128,12 @@ struct Shared {
     /// Signals job waiters: some point resolved or shutdown was requested.
     done_cv: Condvar,
     store: Store,
-    statsd: StatsdSink,
     metrics: MetricsRegistry,
     flight: FlightBus,
     /// Daemon-wide build identity, stamped into point provenance.
     git_sha: String,
     started: Instant,
     workers: usize,
-    batch: usize,
     shutdown: AtomicBool,
 }
 
@@ -208,13 +195,11 @@ impl Daemon {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             store: Store::new(config.store_dir.clone()),
-            statsd: StatsdSink::new(config.statsd.as_deref()),
             metrics: MetricsRegistry::new(config.workers.max(1)),
             flight,
             git_sha: bench::git_sha(),
             started: Instant::now(),
             workers: config.workers.max(1),
-            batch: config.batch.max(1),
             shutdown: AtomicBool::new(false),
         });
         for worker in 0..shared.workers {
@@ -536,19 +521,16 @@ impl Daemon {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Final observability drain: pushes remaining counter deltas and
-    /// timings to statsd, then flushes and joins the flight writer so
+    /// Final observability step: flushes and joins the flight writer so
     /// the JSONL log is complete on disk. Call once, after the last
     /// request is answered.
     pub fn flush_observability(&self) {
-        self.shared.metrics.drain_into(&self.shared.statsd);
         self.shared.flight.shutdown();
     }
 }
 
 /// Sampler tick body: every `tick_ms`, sample the gauges and worker
-/// busy bits, publish a queue-depth flight record, and drain the
-/// registry into the statsd sink.
+/// busy bits and publish a queue-depth flight record.
 fn tick_loop(shared: &Arc<Shared>, tick_ms: u64) {
     let daemon = Daemon {
         shared: Arc::clone(shared),
@@ -562,7 +544,6 @@ fn tick_loop(shared: &Arc<Shared>, tick_ms: u64) {
         let mut r = FlightRecord::of(flight_event::QUEUE);
         r.depth = Some(shared.metrics.queue_depth.load(Ordering::Relaxed));
         shared.flight.publish(r);
-        shared.metrics.drain_into(&shared.statsd);
     }
 }
 
@@ -575,28 +556,11 @@ struct Claim {
     queued_ms: u64,
 }
 
-/// Pops a batch of queued points sharing one `(warmup, measure)` window
-/// shape (the batched runner steps all sims in lockstep windows).
-fn claim_batch(state: &mut State, max: usize) -> Vec<Claim> {
-    let mut batch: Vec<Claim> = Vec::new();
-    let mut window: Option<(u64, u64)> = None;
-    let mut skipped = VecDeque::new();
-    while batch.len() < max {
-        let Some(key) = state.queue.pop_front() else {
-            break;
-        };
-        let fits = match state.points.get(&key) {
-            Some(PointState::Queued { spec, .. }) => {
-                window.is_none() || window == Some((spec.warmup, spec.measure))
-            }
-            // Not queued anymore (evicted mid-queue): drop the stale
-            // queue entry silently.
-            _ => {
-                continue;
-            }
-        };
-        if !fits {
-            skipped.push_back(key);
+/// Pops the next still-queued point and marks it running. Queue entries
+/// whose point is no longer `Queued` are stale and dropped silently.
+fn claim_next(state: &mut State) -> Option<Claim> {
+    while let Some(key) = state.queue.pop_front() {
+        if !matches!(state.points.get(&key), Some(PointState::Queued { .. })) {
             continue;
         }
         let Some(PointState::Queued { spec, rate, since }) =
@@ -604,60 +568,29 @@ fn claim_batch(state: &mut State, max: usize) -> Vec<Claim> {
         else {
             unreachable!("checked Queued above");
         };
-        window = Some((spec.warmup, spec.measure));
-        batch.push(Claim {
+        state.inflight += 1;
+        return Some(Claim {
             key,
             spec,
             rate,
             queued_ms: since.elapsed().as_millis() as u64,
         });
     }
-    // Mismatched-window points go back to the queue front, in order.
-    while let Some(key) = skipped.pop_back() {
-        state.queue.push_front(key);
-    }
-    state.inflight += batch.len() as u64;
-    batch
-}
-
-/// Simulates one claimed batch. Split out so the worker can wrap the
-/// whole simulation in `catch_unwind`.
-fn run_claims(claims: &[Claim]) -> Vec<LatencyPoint> {
-    let mut sims: Vec<_> = claims
-        .iter()
-        .map(|c| {
-            make_sim(
-                c.spec.id,
-                c.spec.pattern,
-                c.rate,
-                c.spec.size,
-                c.spec.fp_vcs,
-                c.spec.seed,
-            )
-        })
-        .collect();
-    let (warmup, measure) = (claims[0].spec.warmup, claims[0].spec.measure);
-    let stats = noc_sim::batch::run_windows_batched(&mut sims, warmup, measure);
-    claims
-        .iter()
-        .zip(&stats)
-        .map(|(c, s)| latency_point(c.rate, s))
-        .collect()
+    None
 }
 
 /// Worker thread body: claim, simulate, persist, publish, repeat.
 fn worker_loop(shared: &Arc<Shared>, worker: usize) {
     let worker_id = worker as u64;
     loop {
-        let claims = {
+        let claim = {
             let mut state = shared.state.lock().expect("engine lock");
             loop {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                let claims = claim_batch(&mut state, shared.batch);
-                if !claims.is_empty() {
-                    break claims;
+                if let Some(claim) = claim_next(&mut state) {
+                    break claim;
                 }
                 let (next, _) = shared
                     .work_cv
@@ -668,81 +601,62 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
         };
 
         let m = &shared.metrics;
-        let n = claims.len() as u64;
-        let cycles = claims[0].spec.warmup + claims[0].spec.measure;
+        let key = format_key(claim.key);
+        let cycles = claim.spec.warmup + claim.spec.measure;
         m.worker_busy(worker, true);
-        for claim in &claims {
-            m.queue_wait_ms.record(claim.queued_ms);
-            m.note_timing("queue_wait_ms", claim.queued_ms);
+        m.queue_wait_ms.record(claim.queued_ms);
+        for event in [flight_event::CLAIMED, flight_event::BATCH_STARTED] {
+            let mut r = FlightRecord::of(event);
+            r.worker = Some(worker_id);
+            r.key = Some(key.clone());
+            r.points = Some(1);
+            r.cycles = Some(cycles);
+            shared.flight.publish(r);
         }
-        let mut r = FlightRecord::of(flight_event::CLAIMED);
-        r.worker = Some(worker_id);
-        r.points = Some(n);
-        r.cycles = Some(cycles);
-        shared.flight.publish(r);
-        let mut r = FlightRecord::of(flight_event::BATCH_STARTED);
-        r.worker = Some(worker_id);
-        r.points = Some(n);
-        r.cycles = Some(cycles);
-        shared.flight.publish(r);
 
         let begun = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_claims(&claims)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| simulate_point(&claim.spec, claim.rate)));
         let wall_ms = begun.elapsed().as_millis() as u64;
 
         // Persist outside the lock: identical keys can only ever race
         // to write identical bytes (provenance differs per writer, but
         // the *point* — the only payload correctness depends on — is
         // key-determined).
-        if let Ok(points) = &outcome {
+        if let Ok(point) = &outcome {
             let provenance =
                 Provenance::now(wall_ms, Some(worker_id), shared.git_sha.clone(), cycles);
-            for (claim, point) in claims.iter().zip(points) {
-                shared
-                    .store
-                    .store_with_provenance(claim.key, point, Some(&provenance));
-            }
+            shared
+                .store
+                .store_with_provenance(claim.key, point, Some(&provenance));
         }
 
-        let mut trail: Vec<FlightRecord> = Vec::with_capacity(claims.len() + 1);
         let mut state = shared.state.lock().expect("engine lock");
-        state.inflight -= n;
-        match outcome {
-            Ok(points) => {
-                m.points_computed.add(n);
-                for (claim, point) in claims.into_iter().zip(points) {
-                    let mut r = FlightRecord::of(flight_event::STORED);
-                    r.worker = Some(worker_id);
-                    r.key = Some(format_key(claim.key));
-                    trail.push(r);
-                    state.points.insert(claim.key, PointState::Done(point));
-                }
+        state.inflight -= 1;
+        let event = match outcome {
+            Ok(point) => {
+                m.points_computed.add(1);
+                state.points.insert(claim.key, PointState::Done(point));
+                flight_event::STORED
             }
             Err(panic) => {
-                let msg = panic_message(&panic);
-                m.points_failed.add(n);
-                for claim in claims {
-                    let mut r = FlightRecord::of(flight_event::FAILED);
-                    r.worker = Some(worker_id);
-                    r.key = Some(format_key(claim.key));
-                    trail.push(r);
-                    state
-                        .points
-                        .insert(claim.key, PointState::Failed(msg.clone()));
-                }
+                m.points_failed.add(1);
+                state
+                    .points
+                    .insert(claim.key, PointState::Failed(panic_message(&panic)));
+                flight_event::FAILED
             }
-        }
+        };
         drop(state);
         m.worker_busy(worker, false);
-        m.worker_batch(worker, n, wall_ms);
+        m.worker_point(worker, wall_ms);
         m.batch_wall_ms.record(wall_ms);
-        m.note_timing("batch_ms", wall_ms);
-        for r in trail {
-            shared.flight.publish(r);
-        }
+        let mut r = FlightRecord::of(event);
+        r.worker = Some(worker_id);
+        r.key = Some(key);
+        shared.flight.publish(r);
         let mut r = FlightRecord::of(flight_event::BATCH_DONE);
         r.worker = Some(worker_id);
-        r.points = Some(n);
+        r.points = Some(1);
         r.wall_ms = Some(wall_ms);
         r.cycles = Some(cycles);
         shared.flight.publish(r);
@@ -778,8 +692,6 @@ mod tests {
             socket: temp_dir(tag).join("sock"),
             store_dir: temp_dir(tag),
             workers: 2,
-            batch: 4,
-            statsd: None,
             flight: None,
             tick_ms: 500,
         }
@@ -924,6 +836,49 @@ mod tests {
         let provenance = provenance.expect("worker-computed points are stamped");
         assert!(provenance.worker.is_some(), "{provenance:?}");
         assert_eq!(provenance.cycles, spec.warmup + spec.measure);
+        daemon.request_shutdown();
+        let _ = std::fs::remove_dir_all(&cfg.store_dir);
+    }
+
+    /// A claim is one point, so a point's provenance stamp is exactly
+    /// its own compute time: summed over a job, the stamps equal the
+    /// workers' total busy time.
+    #[test]
+    fn each_claim_is_one_point_with_exact_provenance() {
+        let cfg = config("one_point");
+        let daemon = boot(&cfg);
+        // 8x8 and 2,000 cycles: every point takes well over 2 ms, so a
+        // stamp shared across points could not hide in ms rounding.
+        let spec = SweepSpec {
+            rates: vec![0.02, 0.03, 0.04, 0.05],
+            size: 8,
+            warmup: 500,
+            measure: 1_500,
+            ..tiny_spec(23)
+        };
+        let job = daemon.submit(vec![spec.clone()]);
+        wait_complete(&daemon, &job);
+        daemon.collect(&job).expect("job completes");
+        let report = daemon.metrics_report();
+        for w in &report.workers {
+            assert_eq!(w.batches, w.points, "one point per claim: {w:?}");
+        }
+        let stamped: u64 = spec
+            .rates
+            .iter()
+            .map(|&rate| {
+                let (_, provenance) = daemon
+                    .fetch_entry(point_cache_key(&spec, rate))
+                    .expect("stored point");
+                provenance.expect("worker-stamped").wall_ms
+            })
+            .sum();
+        let busy: u64 = report.workers.iter().map(|w| w.busy_ms).sum();
+        assert!(
+            busy >= 2 * spec.rates.len() as u64,
+            "points too fast: {busy} ms"
+        );
+        assert_eq!(stamped, busy, "provenance wall_ms sums to busy time");
         daemon.request_shutdown();
         let _ = std::fs::remove_dir_all(&cfg.store_dir);
     }

@@ -484,10 +484,13 @@ pub fn chrome_trace(records: &[FlightRecord]) -> String {
                 }
             }
             flight_event::QUEUE => {
+                // Counter tracks are keyed by name; the tid only
+                // satisfies the shared structural rule.
                 events.push(Content::Map(vec![
                     ("name".to_string(), s("queue_depth")),
                     ("ph".to_string(), s("C")),
                     ("pid".to_string(), u(PID_DAEMON)),
+                    ("tid".to_string(), u(0)),
                     ("ts".to_string(), u(r.ts_us)),
                     (
                         "args".to_string(),
@@ -512,91 +515,44 @@ pub struct DaemonTraceSummary {
     pub counter_samples: u64,
 }
 
-/// Structurally validates an exported daemon trace: well-formed JSON
-/// array, every event under `pid 3` with the keys its phase requires,
-/// a named daemon process, every job thread carrying its lifetime span,
-/// and a non-empty `queue_depth` counter track.
+/// Validates an exported daemon trace: the shared structural rules of
+/// [`noc_trace::check_trace_structure`], then every event under
+/// `pid 3`, a named daemon process, every job thread carrying its
+/// lifetime span, and a non-empty `queue_depth` counter track (the only
+/// counter the daemon exports).
 pub fn check_daemon_trace(json: &str) -> Result<DaemonTraceSummary, String> {
-    let root: Content = serde_json::from_str(json).map_err(|e| format!("bad JSON: {e:?}"))?;
-    let events = root.as_seq().ok_or("trace is not an array")?;
-    let mut named_process = false;
+    let events = noc_trace::check_trace_structure(json)?;
     let mut job_threads: BTreeSet<u64> = BTreeSet::new();
     let mut job_spans: BTreeSet<u64> = BTreeSet::new();
     let mut batch_spans = 0u64;
     let mut counter_samples = 0u64;
-    for (idx, event) in events.iter().enumerate() {
-        let map = event
-            .as_map()
-            .ok_or(format!("event {idx}: not an object"))?;
-        let get = |name: &str| map.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let ph = get("ph")
-            .and_then(Content::as_str)
-            .ok_or(format!("event {idx}: missing ph"))?;
-        let pid = get("pid")
-            .and_then(Content::as_u64)
-            .ok_or(format!("event {idx}: missing pid"))?;
-        if pid != PID_DAEMON {
-            return Err(format!("event {idx}: pid {pid}, expected {PID_DAEMON}"));
+    for (idx, e) in events.iter().enumerate() {
+        if e.pid != PID_DAEMON {
+            return Err(format!("event {idx}: pid {}, expected {PID_DAEMON}", e.pid));
         }
-        let name = get("name")
-            .and_then(Content::as_str)
-            .ok_or(format!("event {idx}: missing name"))?;
-        match ph {
-            "M" => {
-                if name == "process_name" {
-                    named_process = true;
-                }
-                if name == "thread_name" {
-                    if let Some(tid) = get("tid").and_then(Content::as_u64) {
-                        if tid >= JOB_TID_BASE {
-                            job_threads.insert(tid);
-                        }
-                    }
-                }
+        let job_tid = e.tid.filter(|&tid| tid >= JOB_TID_BASE);
+        match e.ph {
+            'M' if e.name == "thread_name" => job_threads.extend(job_tid),
+            'X' if job_tid.is_some() => job_spans.extend(job_tid),
+            'X' => batch_spans += 1,
+            'C' if e.name != "queue_depth" => {
+                return Err(format!("event {idx}: unexpected counter {:?}", e.name));
             }
-            "X" => {
-                let tid = get("tid")
-                    .and_then(Content::as_u64)
-                    .ok_or(format!("event {idx}: span missing tid"))?;
-                let dur = get("dur")
-                    .and_then(Content::as_u64)
-                    .ok_or(format!("event {idx}: span missing dur"))?;
-                if dur == 0 {
-                    return Err(format!("event {idx}: zero-duration span"));
-                }
-                if get("ts").and_then(Content::as_u64).is_none() {
-                    return Err(format!("event {idx}: span missing ts"));
-                }
-                if tid >= JOB_TID_BASE {
-                    job_spans.insert(tid);
-                } else {
-                    batch_spans += 1;
-                }
-            }
-            "i" => {
-                if get("ts").and_then(Content::as_u64).is_none() {
-                    return Err(format!("event {idx}: instant missing ts"));
-                }
-            }
-            "C" => {
-                if name != "queue_depth" {
-                    return Err(format!("event {idx}: unexpected counter {name:?}"));
-                }
-                counter_samples += 1;
-            }
-            other => return Err(format!("event {idx}: unknown phase {other:?}")),
+            'C' => counter_samples += 1,
+            _ => {}
         }
     }
-    if !named_process {
+    if !events
+        .iter()
+        .any(|e| e.ph == 'M' && e.name == "process_name")
+    {
         return Err("no process_name metadata".to_string());
     }
-    for tid in &job_threads {
-        if !job_spans.contains(tid) {
-            return Err(format!(
-                "job thread {} has no lifetime span",
-                tid - JOB_TID_BASE
-            ));
-        }
+    if let Some(tid) = job_threads.difference(&job_spans).next() {
+        return Err(format!(
+            "job thread {} has no lifetime span",
+            tid - JOB_TID_BASE
+        ));
     }
     if counter_samples == 0 {
         return Err("no queue_depth counter samples".to_string());

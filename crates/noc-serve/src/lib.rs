@@ -15,20 +15,18 @@
 //!
 //! 1. the in-memory results map (points resolved this daemon lifetime);
 //! 2. the on-disk store — survives restarts, shared with batch runs;
-//! 3. the worker pool — [`bench::runner::simulate_point`]'s exact
-//!    pipeline ([`bench::runner::make_sim`] +
-//!    [`noc_sim::batch::run_windows_batched`]), so daemon-computed
-//!    points are bitwise identical to batch-computed ones. The `serve`
-//!    CI job diffs the resulting JSON artifacts to hold that line.
+//! 3. the worker pool — each worker computes one point at a time with
+//!    [`bench::runner::simulate_point`], the batch executor's own entry
+//!    point, so daemon-computed points are bitwise identical to
+//!    batch-computed ones. The `serve` CI job diffs the resulting JSON
+//!    artifacts to hold that line.
 //!
 //! Module map: [`core`] is the engine (state machine, worker pool,
 //! dedup registry); [`server`] the transport (accept loop,
 //! per-connection protocol handler); [`metrics`] the lock-free metrics
 //! registry (counters, gauges, histograms, worker utilization);
 //! [`flight`] the flight recorder (JSONL lifecycle log, live `watch`
-//! fan-out, Perfetto export); [`statsd`] the buffered telemetry sink
-//! the registry drains into (statsd-format lines over a file or UDP).
-//! The `nocserve` binary boots the engine behind the transport;
+//! fan-out, Perfetto export). The `nocserve` binary boots the engine behind the transport;
 //! `nocctl` is the operator CLI
 //! (ping/status/metrics/watch/flight/fetch/evict/gc/shutdown).
 //!
@@ -45,10 +43,8 @@ pub mod core;
 pub mod flight;
 pub mod metrics;
 pub mod server;
-pub mod statsd;
 
 pub use crate::core::{Daemon, JobProgress, ServeConfig};
 pub use flight::{check_daemon_trace, chrome_trace, load_flight, validate_chains, FlightBus};
 pub use metrics::{Counter, Histogram, MetricsRegistry};
 pub use server::serve;
-pub use statsd::StatsdSink;

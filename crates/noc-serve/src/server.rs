@@ -37,11 +37,10 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
     let daemon = Daemon::start(config).map_err(std::io::Error::other)?;
     eprintln!(
-        "[nocserve] listening on {} (store {}, {} workers, batch {})",
+        "[nocserve] listening on {} (store {}, {} workers)",
         config.socket.display(),
         config.store_dir.display(),
-        config.workers.max(1),
-        config.batch.max(1)
+        config.workers.max(1)
     );
 
     while !daemon.is_shutdown() {

@@ -40,8 +40,7 @@ impl TestDaemon {
 
     /// Like [`TestDaemon::boot`], but with the full observability
     /// surface on when `observed`: a flight-recorder log at
-    /// [`TestDaemon::flight_path`], a statsd line file at
-    /// [`TestDaemon::statsd_path`], and a fast (50ms) sampler tick so
+    /// [`TestDaemon::flight_path`] and a fast (50ms) sampler tick so
     /// short tests still see gauge samples.
     pub fn boot_observed(tag: &str, store_dir: PathBuf, observed: bool) -> TestDaemon {
         let scratch = scratch_dir(tag);
@@ -50,8 +49,6 @@ impl TestDaemon {
             socket: sock.clone(),
             store_dir: store_dir.clone(),
             workers: 2,
-            batch: 4,
-            statsd: observed.then(|| scratch.join("statsd.txt").display().to_string()),
             flight: observed.then(|| scratch.join("run.flight")),
             tick_ms: if observed { 50 } else { 500 },
         };
@@ -87,11 +84,6 @@ impl TestDaemon {
         self.scratch.join("run.flight")
     }
 
-    /// Where the observed daemon's statsd drain appends lines.
-    pub fn statsd_path(&self) -> PathBuf {
-        self.scratch.join("statsd.txt")
-    }
-
     /// Connects a client, retrying while the daemon finishes binding.
     pub fn client(&self) -> Client {
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -111,8 +103,8 @@ impl TestDaemon {
         self.stop();
     }
 
-    /// Stops the daemon but keeps the scratch files (flight log,
-    /// statsd file) readable — the harness still cleans up on drop.
+    /// Stops the daemon but keeps the scratch files (the flight log)
+    /// readable — the harness still cleans up on drop.
     pub fn stop(&mut self) {
         if let Some(handle) = self.handle.take() {
             if let Ok(mut client) = Client::connect(&self.sock) {

@@ -145,10 +145,9 @@ fn watch_streams_lifecycle_without_perturbing_results() {
 }
 
 /// The flight log distinguishes every resolution path — enqueued on a
-/// cold submit, memory on the warm resubmit — and the statsd drain
-/// writes buffered lines to the configured file.
+/// cold submit, memory on the warm resubmit.
 #[test]
-fn flight_log_and_statsd_drain_cover_resolution_paths() {
+fn flight_log_covers_resolution_paths() {
     let specs = specs();
     let daemon = TestDaemon::boot_fresh_observed("paths");
     daemon
@@ -159,7 +158,7 @@ fn flight_log_and_statsd_drain_cover_resolution_paths() {
         .client()
         .submit(&specs, |_, _| {})
         .expect("warm job completes");
-    let (flight_path, statsd_path) = (daemon.flight_path(), daemon.statsd_path());
+    let flight_path = daemon.flight_path();
     let mut daemon = daemon;
     daemon.stop();
 
@@ -182,22 +181,4 @@ fn flight_log_and_statsd_drain_cover_resolution_paths() {
         6,
         "every computed point left a stored record"
     );
-
-    let statsd = std::fs::read_to_string(&statsd_path).expect("statsd drain wrote the file");
-    for needle in [
-        "nocserve.jobs_submitted:",
-        "nocserve.queue_depth:",
-        "nocserve.batch_ms:",
-    ] {
-        assert!(statsd.contains(needle), "missing {needle:?} in:\n{statsd}");
-    }
-    // Counters drain as per-tick deltas; across all drains they must
-    // sum to the exact total.
-    let computed: u64 = statsd
-        .lines()
-        .filter_map(|l| l.strip_prefix("nocserve.points_computed:"))
-        .filter_map(|rest| rest.strip_suffix("|c"))
-        .map(|v| v.parse::<u64>().expect("counter value"))
-        .sum();
-    assert_eq!(computed, 6, "deltas sum to the total in:\n{statsd}");
 }

@@ -237,7 +237,7 @@ fn gc_over_the_wire_reports_planted_damage() {
 }
 
 /// Observability answers are part of the protocol even when the
-/// daemon boots *without* a flight log or statsd sink: `metrics`
+/// daemon boots *without* a flight log: `metrics`
 /// reports a healthy zero-sink bus and `watch` still streams records
 /// (the bus fans out to watchers regardless of whether a JSONL sink
 /// was configured).

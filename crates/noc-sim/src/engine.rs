@@ -200,15 +200,6 @@ impl Simulation {
         }
     }
 
-    /// Whether the workload reports itself finished (closed-loop
-    /// workloads stop the run early; open-loop ones never finish).
-    /// [`run`](Self::run) checks this before every cycle, and the
-    /// batched executor ([`crate::batch`]) must observe the identical
-    /// predicate to stay cycle-for-cycle equivalent.
-    pub fn workload_finished(&self) -> bool {
-        self.workload.finished(&self.core)
-    }
-
     /// Runs `cycles` cycles (or until a closed-loop workload finishes).
     /// Returns the cycles actually simulated.
     pub fn run(&mut self, cycles: u64) -> u64 {
@@ -398,91 +389,6 @@ impl SaturationSearch {
             }
         }
         best
-    }
-}
-
-/// Minimal scheme + workload pair for in-crate tests (`engine`,
-/// `batch`): XY-routed VCT with uniform-random single-class open-loop
-/// traffic. Scheme crates proper live above `noc-sim`, so in-crate
-/// tests bring their own.
-#[cfg(test)]
-pub(crate) mod tests_support {
-    use super::*;
-    use crate::regular::{advance, AdvanceCtx};
-    use crate::routing::DorXy;
-    use crate::scheme::SchemeProperties;
-    use noc_core::config::SimConfig;
-    use noc_core::packet::{MessageClass, Packet};
-    use noc_core::rng::DetRng;
-    use noc_core::topology::NodeId;
-
-    pub(crate) struct PlainXy;
-    impl Scheme for PlainXy {
-        fn name(&self) -> &'static str {
-            "plain-xy"
-        }
-        fn properties(&self) -> SchemeProperties {
-            SchemeProperties {
-                no_detection: true,
-                protocol_deadlock_freedom: false,
-                network_deadlock_freedom: true,
-                full_path_diversity: false,
-                high_throughput: false,
-                low_power: false,
-                scalable: true,
-                no_misrouting: true,
-            }
-        }
-        fn required_vns(&self) -> usize {
-            0
-        }
-        fn step(&mut self, core: &mut NetworkCore) {
-            advance(core, &mut DorXy, &AdvanceCtx::default());
-        }
-    }
-
-    pub(crate) struct UniformReq {
-        pub(crate) rate: f64,
-        pub(crate) rng: DetRng,
-    }
-    impl Workload for UniformReq {
-        fn tick(&mut self, core: &mut NetworkCore) {
-            let n = core.mesh().num_nodes();
-            let cycle = core.cycle();
-            for src in 0..n {
-                if self.rng.chance(self.rate) {
-                    let mut dst = self.rng.range(0, n - 1);
-                    if dst >= src {
-                        dst += 1;
-                    }
-                    core.generate(Packet::new(
-                        NodeId::new(src),
-                        NodeId::new(dst),
-                        MessageClass::Request,
-                        1,
-                        cycle,
-                    ));
-                }
-            }
-        }
-    }
-
-    /// A `side × side` XY/VCT simulation under uniform traffic, fully
-    /// determined by `(side, rate, seed)`.
-    pub(crate) fn synthetic_sim(side: usize, rate: f64, seed: u64) -> Simulation {
-        Simulation::new(
-            SimConfig::builder()
-                .mesh(side, side)
-                .vns(0)
-                .vcs_per_vn(2)
-                .seed(seed)
-                .build(),
-            Box::new(PlainXy),
-            Box::new(UniformReq {
-                rate,
-                rng: DetRng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
-            }),
-        )
     }
 }
 

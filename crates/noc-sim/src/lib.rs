@@ -46,7 +46,6 @@
 pub mod arbiter;
 pub mod arena;
 pub mod audit;
-pub mod batch;
 pub mod engine;
 pub mod inspect;
 pub mod network;
@@ -61,7 +60,6 @@ pub mod vc;
 pub mod waitgraph;
 
 pub use arena::{InputMut, InputRef, VcArena};
-pub use batch::run_windows_batched;
 pub use engine::{Simulation, Workload};
 pub use network::{LinkSet, NetworkCore};
 pub use probe::{Phase, PhaseProbe};

@@ -144,6 +144,97 @@ pub fn chrome_trace_json(tracer: &Tracer) -> String {
     serde_json::to_string(&Content::Seq(events)).expect("content tree always serializes")
 }
 
+/// The identifying fields of one event that passed
+/// [`check_trace_structure`], in document order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EventHeader {
+    /// Event name.
+    pub name: String,
+    /// Phase: one of `X`, `i`, `M`, `C`.
+    pub ph: char,
+    /// Process (track group) id.
+    pub pid: u64,
+    /// Thread (track) id; absent only on `process_name` metadata.
+    pub tid: Option<u64>,
+}
+
+/// Validates the structure shared by every Chrome `trace_event`
+/// document this workspace writes — the flit traces above, their
+/// merged telemetry counter tracks, and the sweep daemon's flight
+/// export: a top-level array whose every element is an object with a
+/// string `name`, a phase `ph` of `X`/`i`/`M`/`C`, an integral `pid`,
+/// and an integral `tid` (optional only on `process_name` metadata).
+/// Complete (`X`), instant (`i`) and counter (`C`) events need an
+/// integral `ts`; complete events a `dur` of at least 1; instants a
+/// scope `s`; counters an `args` object of series.
+///
+/// Returns every event's [`EventHeader`] so format-specific checks can
+/// layer on top without re-parsing.
+///
+/// # Errors
+///
+/// A message naming the first offending event and what is wrong with
+/// it.
+pub fn check_trace_structure(json: &str) -> Result<Vec<EventHeader>, String> {
+    let doc: Content = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e:?}"))?;
+    let Content::Seq(events) = doc else {
+        return Err("top level must be a JSON array of trace events".to_string());
+    };
+    let mut headers = Vec::with_capacity(events.len());
+    for (i, ev) in events.iter().enumerate() {
+        let Content::Map(entries) = ev else {
+            return Err(format!("event #{i} is not a JSON object"));
+        };
+        let get = |key: &str| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        let name = get("name")
+            .and_then(Content::as_str)
+            .ok_or_else(|| format!("event #{i} has no string `name`"))?;
+        let ph = match get("ph").and_then(Content::as_str) {
+            Some("X") => 'X',
+            Some("i") => 'i',
+            Some("M") => 'M',
+            Some("C") => 'C',
+            Some(other) => {
+                return Err(format!(
+                    "event #{i} ({name}) has unknown phase {other:?} (expected X, i, M or C)"
+                ))
+            }
+            None => return Err(format!("event #{i} ({name}) has no string `ph`")),
+        };
+        let pid = get("pid")
+            .and_then(Content::as_u64)
+            .ok_or_else(|| format!("event #{i} ({name}) has no integral `pid`"))?;
+        let tid = get("tid").and_then(Content::as_u64);
+        if tid.is_none() && !(ph == 'M' && name == "process_name") {
+            return Err(format!("event #{i} ({name}) has no integral `tid`"));
+        }
+        if ph != 'M' && get("ts").and_then(Content::as_u64).is_none() {
+            return Err(format!("event #{i} ({name}) has no integral `ts`"));
+        }
+        match ph {
+            'X' if get("dur").and_then(Content::as_u64).unwrap_or(0) == 0 => {
+                return Err(format!("complete event #{i} ({name}) needs `dur` >= 1"));
+            }
+            'i' if get("s").and_then(Content::as_str).is_none() => {
+                return Err(format!("instant event #{i} ({name}) has no scope `s`"));
+            }
+            'C' if !matches!(get("args"), Some(Content::Map(_))) => {
+                return Err(format!(
+                    "counter event #{i} ({name}) needs an `args` object of series"
+                ));
+            }
+            _ => {}
+        }
+        headers.push(EventHeader {
+            name: name.to_string(),
+            ph,
+            pid,
+            tid,
+        });
+    }
+    Ok(headers)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,28 +280,30 @@ mod tests {
             },
         );
         let json = chrome_trace_json(&t);
-        let parsed: Content = serde_json::from_str(&json).expect("well-formed JSON");
-        let seq = parsed.as_seq().expect("top level is an array");
-        let names: Vec<&str> = seq
-            .iter()
-            .filter_map(|e| e.as_map())
-            .filter_map(|m| serde::field(m, "name").ok())
-            .filter_map(|n| n.as_str())
-            .collect();
-        assert!(names.contains(&"link"), "regular traversal exported");
-        assert!(names.contains(&"lane"), "bypass traversal exported");
-        assert!(names.contains(&"stall"));
-        // Complete events carry durations; instants carry scope.
-        for e in seq.iter().filter_map(|e| e.as_map()) {
-            let ph = serde::field(e, "ph")
-                .ok()
-                .and_then(|p| p.as_str())
-                .expect("every event has ph");
-            match ph {
-                "X" => assert!(serde::field(e, "dur").is_ok(), "X event missing dur"),
-                "i" | "M" => {}
-                other => panic!("unexpected phase {other}"),
-            }
-        }
+        let events = check_trace_structure(&json).expect("export passes the structural check");
+        let named = |n: &str| events.iter().any(|e| e.name == n);
+        assert!(named("link"), "regular traversal exported");
+        assert!(named("lane"), "bypass traversal exported");
+        assert!(named("stall"));
+        assert!(events.iter().all(|e| matches!(e.ph, 'X' | 'i' | 'M')));
+    }
+
+    #[test]
+    fn structural_check_names_each_broken_rule() {
+        let err = |json: &str| check_trace_structure(json).expect_err(json);
+        assert!(err(r#"[{"name":"link","ph":"X","pid":0,"ts":1,"dur":1}]"#).contains("`tid`"));
+        assert!(
+            err(r#"[{"name":"link","ph":"X","pid":0,"tid":0,"ts":1,"dur":0}]"#)
+                .contains("`dur` >= 1")
+        );
+        assert!(err(r#"[{"name":"inject","ph":"i","pid":0,"tid":0,"ts":1}]"#).contains("scope"));
+        assert!(err(r#"[{"name":"link","ph":"X","pid":0,"tid":0,"dur":1}]"#).contains("`ts`"));
+        assert!(err(r#"[{"name":"c","ph":"C","pid":2,"tid":0,"ts":1}]"#).contains("`args`"));
+        assert!(err(r#"[{"name":"x","ph":"M","pid":-1,"tid":0}]"#).contains("`pid`"));
+        // `tid` may be absent on process-scoped metadata only.
+        let ok = r#"[{"name":"process_name","ph":"M","pid":3,"args":{"name":"d"}}]"#;
+        let events = check_trace_structure(ok).expect("valid");
+        assert_eq!(events[0].tid, None);
+        assert!(err(r#"[{"name":"thread_name","ph":"M","pid":3}]"#).contains("`tid`"));
     }
 }

@@ -13,8 +13,9 @@
 //!   integrals, stall-cause breakdown, lane-occupancy histogram);
 //! * [`Tracer`] — the recording façade owned by the network core, with
 //!   a three-position [`TraceLevel`] switch;
-//! * exporters — Chrome `trace_event` JSON ([`chrome_trace_json`]) and
-//!   a textual per-packet lifetime report ([`packet_lifetimes`]).
+//! * exporters — Chrome `trace_event` JSON ([`chrome_trace_json`], with
+//!   its structural validator [`check_trace_structure`]) and a textual
+//!   per-packet lifetime report ([`packet_lifetimes`]).
 //!
 //! # The no-alloc hook contract
 //!
@@ -47,7 +48,7 @@ pub mod metrics;
 pub mod report;
 pub mod ring;
 
-pub use chrome::chrome_trace_json;
+pub use chrome::{check_trace_structure, chrome_trace_json, EventHeader};
 pub use event::{BypassOutcome, StallCause, TraceEvent, TraceRecord};
 pub use metrics::{MetricsReport, NetworkTotals, RouterMetrics};
 pub use report::{packet_lifetime, packet_lifetimes};
