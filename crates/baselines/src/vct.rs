@@ -1,54 +1,32 @@
-//! Plain credit-based virtual cut-through with a fixed routing policy.
+//! Plain credit-based virtual cut-through with XY routing.
 //!
 //! Not a scheme from the paper's comparison table, but the substrate
-//! sanity baseline: deterministic XY (or YX) routing is network-deadlock-
-//! free by turn restriction, and protocol-level deadlock freedom comes
+//! sanity baseline: deterministic XY routing is network-deadlock-free
+//! by turn restriction, and protocol-level deadlock freedom comes
 //! only from VNs. Used by integration tests to demonstrate the deadlocks
 //! that FastPass/Pitstop resolve and the VN-based baselines avoid.
 
 use noc_sim::network::NetworkCore;
 use noc_sim::regular::{advance, AdvanceCtx};
-use noc_sim::routing::{DorXy, DorYx, RoutingPolicy};
+use noc_sim::routing::DorXy;
 use noc_sim::scheme::{Scheme, SchemeProperties};
 
 /// Plain credit-based VCT (implements [`Scheme`]).
+#[derive(Debug)]
 pub struct CreditVct {
-    policy: Box<dyn RoutingPolicy>,
     vns: usize,
-    name: &'static str,
-}
-
-impl std::fmt::Debug for CreditVct {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CreditVct")
-            .field("name", &self.name)
-            .finish()
-    }
 }
 
 impl CreditVct {
     /// XY-routed VCT with `vns` virtual networks.
     pub fn xy(vns: usize) -> Self {
-        CreditVct {
-            policy: Box::new(DorXy),
-            vns,
-            name: "VCT-XY",
-        }
-    }
-
-    /// YX-routed VCT with `vns` virtual networks.
-    pub fn yx(vns: usize) -> Self {
-        CreditVct {
-            policy: Box::new(DorYx),
-            vns,
-            name: "VCT-YX",
-        }
+        CreditVct { vns }
     }
 }
 
 impl Scheme for CreditVct {
     fn name(&self) -> &'static str {
-        self.name
+        "VCT-XY"
     }
 
     fn properties(&self) -> SchemeProperties {
@@ -69,7 +47,7 @@ impl Scheme for CreditVct {
     }
 
     fn step(&mut self, core: &mut NetworkCore) {
-        advance(core, self.policy.as_mut(), &AdvanceCtx::default());
+        advance(core, &mut DorXy, &AdvanceCtx::default());
     }
 }
 
@@ -91,18 +69,6 @@ mod tests {
         let stats = sim.run_windows(1_000, 4_000);
         assert!(stats.delivered() > 100);
         assert!(sim.starvation_cycles() < 100);
-    }
-
-    #[test]
-    fn yx_also_works_and_differs() {
-        let cfg = SimConfig::builder().mesh(4, 4).vns(6).vcs_per_vn(2).build();
-        let mut sim = Simulation::new(
-            cfg,
-            Box::new(CreditVct::yx(6)),
-            Box::new(SyntheticWorkload::new(SyntheticPattern::Transpose, 0.1, 1)),
-        );
-        let stats = sim.run_windows(1_000, 4_000);
-        assert!(stats.delivered() > 100);
     }
 
     #[test]

@@ -46,6 +46,20 @@ pub const ALL_SCHEMES: [SchemeId; 8] = [
     SchemeId::FastPass,
 ];
 
+/// Every scheme [`SchemeId::parse`] accepts: [`ALL_SCHEMES`] plus the
+/// VCT substrate baseline.
+pub const PARSEABLE: [SchemeId; 9] = [
+    SchemeId::EscapeVc,
+    SchemeId::Spin,
+    SchemeId::Swap,
+    SchemeId::Drain,
+    SchemeId::Pitstop,
+    SchemeId::MinBd,
+    SchemeId::Tfc,
+    SchemeId::FastPass,
+    SchemeId::Vct,
+];
+
 impl SchemeId {
     /// Display name.
     pub fn name(self) -> &'static str {
@@ -66,9 +80,8 @@ impl SchemeId {
     /// protocol and `nocctl` spell schemes by name. Returns `None` for
     /// unknown names.
     pub fn parse(name: &str) -> Option<SchemeId> {
-        let mut all = ALL_SCHEMES.to_vec();
-        all.push(SchemeId::Vct);
-        all.into_iter()
+        PARSEABLE
+            .into_iter()
             .find(|id| id.name().eq_ignore_ascii_case(name))
     }
 
@@ -149,6 +162,8 @@ mod tests {
     #[test]
     fn vct_smoke_baseline_constructs_but_stays_out_of_fig7() {
         assert!(!ALL_SCHEMES.contains(&SchemeId::Vct));
+        assert_eq!(PARSEABLE[..ALL_SCHEMES.len()], ALL_SCHEMES);
+        assert_eq!(PARSEABLE[ALL_SCHEMES.len()..], [SchemeId::Vct]);
         let cfg = SchemeId::Vct.sim_config(4, 2, 1);
         let scheme = SchemeId::Vct.build(&cfg, 1);
         assert_eq!(scheme.name(), SchemeId::Vct.name());

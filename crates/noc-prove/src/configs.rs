@@ -23,14 +23,13 @@
 use noc_core::config::SimConfig;
 use noc_core::fault::{self, FaultConfig};
 use noc_core::topology::Mesh;
-use noc_sim::routing::introspect::PolicyKind;
 
 /// Scheme taxonomy for certification (mirrors the bench registry's
 /// Table II parameters without depending on `bench`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchemeKind {
-    /// Plain credit VCT with the given deterministic/turn-model policy.
-    Vct(PolicyKind),
+    /// Plain credit VCT with XY routing.
+    Vct,
     /// TFC: token-weighted west-first (acyclic turn model).
     Tfc,
     /// EscapeVC: adaptive inner VCs + XY escape VC per VN.
@@ -66,8 +65,7 @@ impl SchemeKind {
     /// Display name (matches the bench registry where schemes overlap).
     pub fn name(self) -> &'static str {
         match self {
-            SchemeKind::Vct(PolicyKind::Yx) => "VCT-YX",
-            SchemeKind::Vct(_) => "VCT-XY",
+            SchemeKind::Vct => "VCT-XY",
             SchemeKind::Tfc => "TFC",
             SchemeKind::EscapeVc => "EscapeVC",
             SchemeKind::Spin => "SPIN",
@@ -163,12 +161,7 @@ pub fn figure_suite() -> Vec<ProveConfig> {
                 true,
             ));
         }
-        v.push(cfg(
-            tag("vct-xy6"),
-            sim(size, 6, 2),
-            SchemeKind::Vct(PolicyKind::Xy),
-            true,
-        ));
+        v.push(cfg(tag("vct-xy6"), sim(size, 6, 2), SchemeKind::Vct, true));
     }
     v
 }
@@ -185,18 +178,8 @@ pub fn mirror_2x2() -> Vec<ProveConfig> {
             SchemeKind::FastPass { slot_cycles: None },
             true,
         ),
-        cfg(
-            "vct-xy0-2x2",
-            sim(2, 0, 1),
-            SchemeKind::Vct(PolicyKind::Xy),
-            false,
-        ),
-        cfg(
-            "vct-xy6-2x2",
-            sim(2, 6, 1),
-            SchemeKind::Vct(PolicyKind::Xy),
-            true,
-        ),
+        cfg("vct-xy0-2x2", sim(2, 0, 1), SchemeKind::Vct, false),
+        cfg("vct-xy6-2x2", sim(2, 6, 1), SchemeKind::Vct, true),
         cfg(
             "pitstop-2x2",
             sim(2, 0, 1),
@@ -291,7 +274,7 @@ pub fn planted() -> ProveConfig {
     ProveConfig {
         name: "planted-vct0-protocol-2x2".into(),
         sim: sim(2, 0, 1),
-        scheme: SchemeKind::Vct(PolicyKind::Xy),
+        scheme: SchemeKind::Vct,
         coupling: true,
         fault: None,
         expect_cycle: true,

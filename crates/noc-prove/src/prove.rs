@@ -2,7 +2,7 @@
 //!
 //! Proof taxonomy (one slug per [`Certificate::proof`]):
 //!
-//! * `cdg-acyclic` — plain VCT and turn-model schemes (XY/YX VCT, TFC's
+//! * `cdg-acyclic` — plain VCT and turn-model schemes (XY VCT, TFC's
 //!   west-first): the full extended CDG, protocol coupling included,
 //!   must be acyclic (Dally's condition).
 //! * `duato-escape` — EscapeVC: the escape subnetwork (VC `range.start`
@@ -41,7 +41,7 @@ use noc_sim::routing::introspect::PolicyKind;
 /// failed obligations become `refuted`/`cycle-found` certificates.
 pub fn certify(cfg: &ProveConfig) -> Certificate {
     match cfg.scheme {
-        SchemeKind::Vct(kind) => certify_cdg(cfg, kind, "cdg-acyclic"),
+        SchemeKind::Vct => certify_cdg(cfg, PolicyKind::Xy, "cdg-acyclic"),
         SchemeKind::Tfc => certify_cdg(cfg, PolicyKind::WestFirst, "cdg-acyclic"),
         SchemeKind::EscapeVc => certify_escape_vc(cfg),
         SchemeKind::Spin | SchemeKind::Swap | SchemeKind::Drain => certify_recovery(cfg),

@@ -68,18 +68,24 @@ fn malformed_lines_get_errors_and_the_connection_stays_usable() {
     let daemon = TestDaemon::boot_fresh("malformed");
     let mut conn = RawConn::open(&daemon);
 
+    // The last line nests 200,000 arrays: a parser without a depth
+    // limit overflows the connection thread's stack and aborts the
+    // whole daemon.
+    let hostile = format!("{{\"cmd\":\"submit\",\"specs\":{}", "[".repeat(200_000));
     for garbage in [
         "not json at all",
         "[1,2,3]",
         "{\"cmd\":\"launch-missiles\"}",
         "{\"cmd\":\"submit\"}",
         "{\"no_cmd_field\":true}",
+        &hostile,
     ] {
         conn.send_line(garbage);
         let resp = conn.recv();
         assert!(
             matches!(resp, Response::Error { .. }),
-            "`{garbage}` should draw an error, got {resp:?}"
+            "`{}` should draw an error, got {resp:?}",
+            &garbage[..garbage.len().min(80)]
         );
     }
 
@@ -103,7 +109,7 @@ fn malformed_lines_get_errors_and_the_connection_stays_usable() {
     assert!(matches!(conn.recv(), Response::Pong { .. }));
 
     let status = daemon.client().status().expect("status");
-    assert_eq!(status.bad_requests, 5, "malformed lines counted");
+    assert_eq!(status.bad_requests, 6, "malformed lines counted");
     assert_eq!(status.points_computed, 0, "nothing was simulated");
 }
 

@@ -23,8 +23,8 @@
 //! * [`network`] — [`NetworkCore`], owning routers, NIs and the packet
 //!   store, plus the staged flit-move machinery that keeps movement to
 //!   one hop per cycle.
-//! * [`routing`] — routing policies: XY, YX, west-first, fully adaptive,
-//!   and Duato-style escape-VC routing.
+//! * [`routing`] — routing policies: XY, west-first, fully adaptive and
+//!   Duato-style escape-VC routing.
 //! * [`regular`] — the shared credit-based pipeline: ejection, switch
 //!   allocation, injection, and staged-arrival application.
 //! * [`waitgraph`] — wait-for-graph construction and cycle detection

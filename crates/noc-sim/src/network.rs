@@ -12,7 +12,6 @@ use crate::probe::{Phase, PhaseProbe};
 use crate::router::RouterState;
 use noc_core::config::SimConfig;
 use noc_core::packet::{PacketId, PacketSeed, PacketStore};
-use noc_core::rng::DetRng;
 use noc_core::stats::NetStats;
 use noc_core::topology::{Direction, LinkId, Mesh, NodeId, Port, ProductiveDirs, DIRECTIONS};
 use noc_trace::{TraceConfig, Tracer};
@@ -122,7 +121,6 @@ pub struct NetworkCore {
     /// Reusable per-cycle scratch owned here so the regular pipeline
     /// allocates nothing in steady state: the active-node worklist.
     scratch_nodes: Vec<NodeId>,
-    rng: DetRng,
     link_flits: Vec<u64>,
     probe: ProbeSlot,
     /// Flat neighbor table (`node * 4 + direction` → neighbor index or
@@ -162,7 +160,6 @@ impl NetworkCore {
             staged_back: Vec::new(),
             drained_back: Vec::new(),
             scratch_nodes: Vec::new(),
-            rng: DetRng::new(cfg.seed),
             link_flits: vec![0; mesh.num_links()],
             probe: ProbeSlot(None),
             topo_nbr: (0..n)
@@ -358,17 +355,6 @@ impl NetworkCore {
     /// Mutable access to an NI.
     pub fn ni_mut(&mut self, n: NodeId) -> &mut NiState {
         &mut self.nis[n.index()]
-    }
-
-    /// Deterministic RNG for tie-breaking.
-    pub fn rng_mut(&mut self) -> &mut DetRng {
-        &mut self.rng
-    }
-
-    /// Simultaneous mutable access to a router and the packet store
-    /// (common pattern in scheme code).
-    pub fn router_and_store_mut(&mut self, n: NodeId) -> (&mut RouterState, &mut PacketStore) {
-        (&mut self.routers[n.index()], &mut self.store)
     }
 
     // ---- packet generation ----------------------------------------------

@@ -1,4 +1,4 @@
-//! Routing policies: XY, YX, west-first, fully adaptive, escape-VC.
+//! Routing policies: XY, west-first, fully adaptive, escape-VC.
 //!
 //! A policy performs route computation *and* downstream VC selection for
 //! a head packet (RC + VA of the 1-cycle router). Table II assigns:
@@ -131,30 +131,24 @@ fn local_if_arrived(req: &RouteReq) -> Option<RouteDecision> {
 /// Pure route-set introspection for static analysis (`noc-prove`).
 ///
 /// Every routing policy's *admissible direction set* is a pure function
-/// of `(mesh, at, in_port, dst)` — the credit/occupancy state only picks
+/// of `(mesh, at, dst)` — the credit/occupancy state only picks
 /// *among* admissible directions, never adds to them. This module is the
 /// single source of truth for those sets: the policies below delegate to
 /// it (so the simulator and the static certifier cannot drift), and
 /// `noc-prove` builds channel-dependency graphs from exactly these
 /// functions rather than re-deriving the routing algebra.
 pub mod introspect {
-    use noc_core::topology::{Direction, Mesh, NodeId, Port};
+    use noc_core::topology::{Direction, Mesh, NodeId};
 
     /// Which routing discipline's route set to enumerate.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum PolicyKind {
         /// Dimension-ordered X-then-Y ([`super::DorXy`]).
         Xy,
-        /// Dimension-ordered Y-then-X ([`super::DorYx`]).
-        Yx,
         /// Minimal fully adaptive ([`super::FullyAdaptive`]).
         FullyAdaptive,
         /// West-first turn model ([`super::WestFirst`], TFC's substrate).
         WestFirst,
-        /// North-last turn model ([`super::NorthLast`]).
-        NorthLast,
-        /// Odd-even turn model ([`super::OddEven`]).
-        OddEven,
         /// The deterministic escape discipline of
         /// [`super::EscapeVcRouting`] (XY into the escape VC).
         EscapeXy,
@@ -165,18 +159,10 @@ pub mod introspect {
         pub fn name(self) -> &'static str {
             match self {
                 PolicyKind::Xy => "xy",
-                PolicyKind::Yx => "yx",
                 PolicyKind::FullyAdaptive => "fully-adaptive",
                 PolicyKind::WestFirst => "west-first",
-                PolicyKind::NorthLast => "north-last",
-                PolicyKind::OddEven => "odd-even",
                 PolicyKind::EscapeXy => "escape-xy",
             }
-        }
-
-        /// Whether the route set depends on the input port (turn history).
-        pub fn history_sensitive(self) -> bool {
-            matches!(self, PolicyKind::OddEven)
         }
     }
 
@@ -191,75 +177,9 @@ pub mod introspect {
         }
     }
 
-    /// Directions admissible under north-last: North only once nothing
-    /// else is productive.
-    pub fn north_last(mesh: Mesh, at: NodeId, dst: NodeId) -> Vec<Direction> {
-        let prod: Vec<Direction> = mesh.productive_dirs(at, dst).iter().collect();
-        let non_north: Vec<Direction> = prod
-            .iter()
-            .copied()
-            .filter(|&d| d != Direction::North)
-            .collect();
-        if non_north.is_empty() {
-            prod
-        } else {
-            non_north
-        }
-    }
-
-    /// The direction a packet travelled to arrive on `in_port` (`None`
-    /// for freshly injected packets).
-    pub fn travel_dir(in_port: Port) -> Option<Direction> {
-        match in_port {
-            Port::Dir(d) => Some(d.opposite()),
-            Port::Local => None,
-        }
-    }
-
-    /// Directions admissible under the odd-even turn model (see
-    /// [`super::OddEven`] for the rule derivation).
-    pub fn odd_even(mesh: Mesh, at: NodeId, dst: NodeId, in_port: Port) -> Vec<Direction> {
-        let x = mesh.x(at);
-        let even = x.is_multiple_of(2);
-        let (tx, ty) = (mesh.x(dst), mesh.y(dst));
-        let dy = ty as isize - mesh.y(at) as isize;
-        let dx = tx as isize - x as isize;
-        let prev = travel_dir(in_port);
-        mesh.productive_dirs(at, dst)
-            .iter()
-            .filter(|&d| match d {
-                Direction::North | Direction::South => {
-                    // EN/ES forbidden at even columns.
-                    if prev == Some(Direction::East) && even {
-                        return false;
-                    }
-                    // A packet still heading west must keep its future
-                    // N/S->W turn legal (even columns only).
-                    dx >= 0 || even
-                }
-                Direction::West => {
-                    // NW/SW forbidden at odd columns.
-                    !matches!(prev, Some(Direction::North) | Some(Direction::South)) || even
-                }
-                Direction::East => {
-                    // Never enter an even destination column eastbound
-                    // with vertical offset left: no legal turn there.
-                    !(dy != 0 && tx % 2 == 0 && tx == x + 1)
-                }
-            })
-            .collect()
-    }
-
-    /// The full admissible direction set of `kind` at
-    /// `(at, in_port, dst)`. Returns the empty set iff `at == dst`
-    /// (route to `Port::Local`).
-    pub fn route_set(
-        kind: PolicyKind,
-        mesh: Mesh,
-        at: NodeId,
-        in_port: Port,
-        dst: NodeId,
-    ) -> Vec<Direction> {
+    /// The full admissible direction set of `kind` at `(at, dst)`.
+    /// Returns the empty set iff `at == dst` (route to `Port::Local`).
+    pub fn route_set(kind: PolicyKind, mesh: Mesh, at: NodeId, dst: NodeId) -> Vec<Direction> {
         if at == dst {
             return Vec::new();
         }
@@ -269,13 +189,8 @@ pub mod introspect {
                     .xy_next(at, dst)
                     .expect("non-local packet always has an XY next hop")]
             }
-            PolicyKind::Yx => vec![mesh
-                .yx_next(at, dst)
-                .expect("non-local packet always has a YX next hop")],
             PolicyKind::FullyAdaptive => mesh.productive_dirs(at, dst).iter().collect(),
             PolicyKind::WestFirst => west_first(mesh, at, dst),
-            PolicyKind::NorthLast => north_last(mesh, at, dst),
-            PolicyKind::OddEven => odd_even(mesh, at, dst, in_port),
         }
     }
 }
@@ -322,53 +237,6 @@ impl RoutingPolicy for DorXy {
                 core.mesh()
                     .xy_next(req.at, req.dst)
                     .expect("non-local packet always has an XY next hop"),
-            )]
-        }
-    }
-}
-
-/// Dimension-ordered routing, Y then X.
-#[derive(Debug, Clone)]
-pub struct DorYx;
-
-impl RoutingPolicy for DorYx {
-    fn name(&self) -> &'static str {
-        "yx"
-    }
-
-    fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
-        if let Some(d) = local_if_arrived(req) {
-            return Some(d);
-        }
-        // `Mesh::yx_next` on cached coordinates (no per-call division).
-        let (fx, fy) = core.xy(req.at);
-        let (tx, ty) = core.xy(req.dst);
-        let dir = if ty > fy {
-            Direction::South
-        } else if ty < fy {
-            Direction::North
-        } else if tx > fx {
-            Direction::East
-        } else if tx < fx {
-            Direction::West
-        } else {
-            return None;
-        };
-        let out_vc = free_downstream_vc(core, req.at, dir, req.class.index())?;
-        Some(RouteDecision {
-            out_port: Port::Dir(dir),
-            out_vc,
-        })
-    }
-
-    fn desired_ports(&self, core: &NetworkCore, req: &RouteReq) -> Vec<Port> {
-        if req.dst == req.at {
-            vec![Port::Local]
-        } else {
-            vec![Port::Dir(
-                core.mesh()
-                    .yx_next(req.at, req.dst)
-                    .expect("non-local packet always has a YX next hop"),
             )]
         }
     }
@@ -581,157 +449,6 @@ impl RoutingPolicy for EscapeVcRouting {
     }
 }
 
-/// North-last partially-adaptive routing: a packet may adaptively use
-/// East/West/South, but may only head North once no other productive
-/// direction remains (with minimal routing: once it is in the
-/// destination column). All turns out of North are thereby eliminated,
-/// which breaks every cycle: deadlock-free without VCs or detection.
-#[derive(Debug, Clone)]
-pub struct NorthLast {
-    rng: DetRng,
-}
-
-impl NorthLast {
-    /// Creates the policy with a deterministic tie-break stream.
-    pub fn new(seed: u64) -> Self {
-        NorthLast {
-            rng: DetRng::new(seed),
-        }
-    }
-
-    /// Directions admissible under north-last from `at` toward `dst`
-    /// (delegates to [`introspect::north_last`], the set `noc-prove`
-    /// certifies).
-    pub fn admissible(core: &NetworkCore, at: NodeId, dst: NodeId) -> Vec<Direction> {
-        introspect::north_last(core.mesh(), at, dst)
-    }
-}
-
-impl RoutingPolicy for NorthLast {
-    fn name(&self) -> &'static str {
-        "north-last"
-    }
-
-    fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
-        if req.dst == req.at {
-            return Some(RouteDecision {
-                out_port: Port::Local,
-                out_vc: 0,
-            });
-        }
-        let class = req.class.index();
-        let mut best: Option<(usize, Direction, usize)> = None;
-        for dir in Self::admissible(core, req.at, req.dst) {
-            if let Some(vc) = free_downstream_vc(core, req.at, dir, class) {
-                let credits = downstream_credits(core, req.at, dir, class);
-                let better = match best {
-                    Some((b, _, _)) => credits > b || (credits == b && self.rng.chance(0.5)),
-                    None => true,
-                };
-                if better {
-                    best = Some((credits, dir, vc));
-                }
-            }
-        }
-        best.map(|(_, dir, vc)| RouteDecision {
-            out_port: Port::Dir(dir),
-            out_vc: vc,
-        })
-    }
-
-    fn desired_ports(&self, core: &NetworkCore, req: &RouteReq) -> Vec<Port> {
-        if req.dst == req.at {
-            vec![Port::Local]
-        } else {
-            Self::admissible(core, req.at, req.dst)
-                .into_iter()
-                .map(Port::Dir)
-                .collect()
-        }
-    }
-}
-
-/// Odd-even turn-model routing (Chiu): partially adaptive and
-/// deadlock-free by restricting *where* turns may occur instead of
-/// *which* turns exist —
-///
-/// * EN and ES turns are forbidden at nodes in even columns;
-/// * NW and SW turns are forbidden at nodes in odd columns.
-///
-/// Minimal-routing corollaries implemented here: an eastbound packet
-/// with remaining vertical offset must not enter an even destination
-/// column from the west (it could never turn there), and a packet that
-/// still needs to travel west may only move vertically in even columns
-/// (the later N/S→W turn must be legal).
-#[derive(Debug, Clone)]
-pub struct OddEven {
-    rng: DetRng,
-}
-
-impl OddEven {
-    /// Creates the policy with a deterministic tie-break stream.
-    pub fn new(seed: u64) -> Self {
-        OddEven {
-            rng: DetRng::new(seed),
-        }
-    }
-
-    /// Directions admissible under the odd-even rules (delegates to
-    /// [`introspect::odd_even`], the set `noc-prove` certifies).
-    pub fn admissible(
-        core: &NetworkCore,
-        at: NodeId,
-        dst: NodeId,
-        in_port: Port,
-    ) -> Vec<Direction> {
-        introspect::odd_even(core.mesh(), at, dst, in_port)
-    }
-}
-
-impl RoutingPolicy for OddEven {
-    fn name(&self) -> &'static str {
-        "odd-even"
-    }
-
-    fn route(&mut self, core: &NetworkCore, req: &RouteReq) -> Option<RouteDecision> {
-        if req.dst == req.at {
-            return Some(RouteDecision {
-                out_port: Port::Local,
-                out_vc: 0,
-            });
-        }
-        let class = req.class.index();
-        let mut best: Option<(usize, Direction, usize)> = None;
-        for dir in Self::admissible(core, req.at, req.dst, req.in_port) {
-            if let Some(vc) = free_downstream_vc(core, req.at, dir, class) {
-                let credits = downstream_credits(core, req.at, dir, class);
-                let better = match best {
-                    Some((b, _, _)) => credits > b || (credits == b && self.rng.chance(0.5)),
-                    None => true,
-                };
-                if better {
-                    best = Some((credits, dir, vc));
-                }
-            }
-        }
-        best.map(|(_, dir, vc)| RouteDecision {
-            out_port: Port::Dir(dir),
-            out_vc: vc,
-        })
-    }
-
-    fn desired_ports(&self, core: &NetworkCore, req: &RouteReq) -> Vec<Port> {
-        if req.dst == req.at {
-            vec![Port::Local]
-        } else {
-            Self::admissible(core, req.at, req.dst, req.in_port)
-                .into_iter()
-                .map(Port::Dir)
-                .collect()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -785,20 +502,11 @@ mod tests {
     }
 
     #[test]
-    fn yx_routes_y_first() {
-        let mut c = core(0, 2);
-        let pkt = req_between(&mut c, 0, 15);
-        let dec = route_of(&c, &mut DorYx, pkt, 0).unwrap();
-        assert_eq!(dec.out_port, Port::Dir(Direction::South));
-    }
-
-    #[test]
     fn arrived_packet_routes_local() {
         let mut c = core(0, 2);
         let pkt = req_between(&mut c, 0, 5);
         for policy in [
             &mut DorXy as &mut dyn RoutingPolicy,
-            &mut DorYx,
             &mut FullyAdaptive::new(1),
             &mut WestFirst::new(1),
             &mut EscapeVcRouting::new(1),
@@ -922,58 +630,13 @@ mod tests {
         assert_eq!(ports.len(), 2);
     }
 
-    #[test]
-    fn north_last_defers_north() {
-        let mut c = core(0, 2);
-        // (2,2) -> (3,0): productive {E, N}; north-last must pick E.
-        let pkt = req_between(&mut c, 10, 3);
-        let mut pol = NorthLast::new(3);
-        for _ in 0..10 {
-            let dec = route_of(&c, &mut pol, pkt, 10).unwrap();
-            assert_eq!(dec.out_port, Port::Dir(Direction::East));
-        }
-        // Column-aligned: North is the only productive and is allowed.
-        let pkt2 = req_between(&mut c, 14, 2); // (2,3) -> (2,0)
-        let dec = route_of(&c, &mut pol, pkt2, 14).unwrap();
-        assert_eq!(dec.out_port, Port::Dir(Direction::North));
-    }
-
-    #[test]
-    fn odd_even_turn_rules() {
-        let c = core(0, 2);
-        let mesh = c.mesh();
-        // Travelling east (arrived on the West input port) at an even
-        // column: EN/ES forbidden.
-        let at_even = mesh.node(2, 2);
-        let dst = mesh.node(2, 0); // due north of at_even... use dst with vertical offset
-        let dirs = OddEven::admissible(&c, at_even, dst, Port::Dir(Direction::West));
-        assert!(
-            !dirs.contains(&Direction::North),
-            "EN turn must be forbidden at even column: {dirs:?}"
-        );
-        // Same situation at an odd column: EN allowed.
-        let at_odd = mesh.node(1, 2);
-        let dst2 = mesh.node(1, 0);
-        let dirs = OddEven::admissible(&c, at_odd, dst2, Port::Dir(Direction::West));
-        assert!(dirs.contains(&Direction::North));
-        // Travelling north at an odd column: NW forbidden.
-        let dst3 = mesh.node(0, 2);
-        let dirs = OddEven::admissible(&c, at_odd, dst3, Port::Dir(Direction::South));
-        assert!(
-            !dirs.contains(&Direction::West),
-            "NW turn must be forbidden at odd column: {dirs:?}"
-        );
-        // Injected packets are unrestricted by turn history.
-        let dirs = OddEven::admissible(&c, at_odd, dst3, Port::Local);
-        assert!(dirs.contains(&Direction::West));
-    }
-
     /// The static-analysis hook must report exactly the direction sets
-    /// the live policies advertise: for every `(at, in_port, dst)` on
-    /// two mesh shapes, `introspect::route_set` equals the policy's
+    /// the live policies advertise: for every `(at, in_port, dst)` on two
+    /// mesh shapes, `introspect::route_set` equals the policy's
     /// `desired_ports`. This is what lets `noc-prove` build channel
     /// dependency graphs from the introspection module without drifting
-    /// from the simulator.
+    /// from the simulator, and checks that no policy's route set depends
+    /// on the input port (which `noc-prove`'s route graph assumes).
     #[test]
     fn introspection_matches_policies_exhaustively() {
         use super::introspect::{route_set, PolicyKind};
@@ -983,17 +646,15 @@ mod tests {
             let mesh = c.mesh();
             let pairs: Vec<(Box<dyn RoutingPolicy>, PolicyKind)> = vec![
                 (Box::new(DorXy), PolicyKind::Xy),
-                (Box::new(DorYx), PolicyKind::Yx),
                 (Box::new(FullyAdaptive::new(1)), PolicyKind::FullyAdaptive),
                 (Box::new(WestFirst::new(1)), PolicyKind::WestFirst),
-                (Box::new(NorthLast::new(1)), PolicyKind::NorthLast),
-                (Box::new(OddEven::new(1)), PolicyKind::OddEven),
             ];
             let pkt = req_between(&mut c, 0, 1);
             for (policy, kind) in &pairs {
                 for at in 0..mesh.num_nodes() {
                     for dst in 0..mesh.num_nodes() {
-                        // Probe every legal input port (turn history).
+                        // Probe every legal input port: the route set
+                        // must not depend on it.
                         for in_port in Port::all() {
                             if let Port::Dir(d) = in_port {
                                 if mesh.neighbor(NodeId::new(at), d).is_none() {
@@ -1010,13 +671,13 @@ mod tests {
                             };
                             if at == dst {
                                 assert!(
-                                    route_set(*kind, mesh, req.at, in_port, req.dst).is_empty(),
+                                    route_set(*kind, mesh, req.at, req.dst).is_empty(),
                                     "arrived packets must have an empty route set"
                                 );
                                 continue;
                             }
                             let want: Vec<Port> = policy.desired_ports(&c, &req);
-                            let got: Vec<Port> = route_set(*kind, mesh, req.at, in_port, req.dst)
+                            let got: Vec<Port> = route_set(*kind, mesh, req.at, req.dst)
                                 .into_iter()
                                 .map(Port::Dir)
                                 .collect();
@@ -1033,67 +694,58 @@ mod tests {
         }
     }
 
-    /// Empirical deadlock-freedom soak for the turn-model policies: heavy
-    /// adversarial traffic, a single VC, no resolution scheme — if the
-    /// turn rules were wrong, the network would wedge.
+    /// Empirical deadlock-freedom soak for west-first: heavy adversarial
+    /// traffic, a single VC, no resolution scheme — if the turn rules
+    /// were wrong, the network would wedge.
     #[test]
-    fn turn_models_never_wedge() {
+    fn west_first_never_wedges() {
         use crate::regular::{advance, AdvanceCtx};
-        for which in ["north-last", "odd-even", "west-first"] {
-            let mut c = NetworkCore::new(
-                noc_core::config::SimConfig::builder()
-                    .mesh(4, 4)
-                    .vns(0)
-                    .vcs_per_vn(1)
-                    .seed(7)
-                    .build(),
-            );
-            let mut nl = NorthLast::new(5);
-            let mut oe = OddEven::new(5);
-            let mut wf = WestFirst::new(5);
-            let mut wl_rng = noc_core::rng::DetRng::new(11);
-            let mut last_consumed = 0u64;
-            let mut consumed = 0u64;
-            for cycle in 0..8_000u64 {
-                // Saturating random traffic.
-                for src in 0..16 {
-                    if wl_rng.chance(0.4) {
-                        let mut dst = wl_rng.range(0, 15);
-                        if dst >= src {
-                            dst += 1;
-                        }
-                        c.generate(Packet::new(
-                            NodeId::new(src),
-                            NodeId::new(dst),
-                            MessageClass::Request,
-                            1 + 4 * (wl_rng.chance(0.5) as u8),
-                            cycle,
-                        ));
+        let mut c = NetworkCore::new(
+            noc_core::config::SimConfig::builder()
+                .mesh(4, 4)
+                .vns(0)
+                .vcs_per_vn(1)
+                .seed(7)
+                .build(),
+        );
+        let mut wf = WestFirst::new(5);
+        let mut wl_rng = noc_core::rng::DetRng::new(11);
+        let mut last_consumed = 0u64;
+        let mut consumed = 0u64;
+        for cycle in 0..8_000u64 {
+            // Saturating random traffic.
+            for src in 0..16 {
+                if wl_rng.chance(0.4) {
+                    let mut dst = wl_rng.range(0, 15);
+                    if dst >= src {
+                        dst += 1;
                     }
+                    c.generate(Packet::new(
+                        NodeId::new(src),
+                        NodeId::new(dst),
+                        MessageClass::Request,
+                        1 + 4 * (wl_rng.chance(0.5) as u8),
+                        cycle,
+                    ));
                 }
-                let pol: &mut dyn RoutingPolicy = match which {
-                    "north-last" => &mut nl,
-                    "odd-even" => &mut oe,
-                    _ => &mut wf,
-                };
-                advance(&mut c, pol, &AdvanceCtx::default());
-                let now = c.cycle();
-                for n in c.mesh().nodes() {
-                    if c.ni(n).ej_consumable(MessageClass::Request, now).is_some() {
-                        let e = c.ni_mut(n).pop_ej(MessageClass::Request).unwrap();
-                        c.store.remove(e.pkt);
-                        consumed += 1;
-                        last_consumed = now;
-                    }
-                }
-                c.advance_cycle();
             }
-            assert!(consumed > 1_000, "{which}: too little delivered");
-            assert!(
-                c.cycle() - last_consumed < 500,
-                "{which} wedged: no consumption for {} cycles",
-                c.cycle() - last_consumed
-            );
+            advance(&mut c, &mut wf, &AdvanceCtx::default());
+            let now = c.cycle();
+            for n in c.mesh().nodes() {
+                if c.ni(n).ej_consumable(MessageClass::Request, now).is_some() {
+                    let e = c.ni_mut(n).pop_ej(MessageClass::Request).unwrap();
+                    c.store.remove(e.pkt);
+                    consumed += 1;
+                    last_consumed = now;
+                }
+            }
+            c.advance_cycle();
         }
+        assert!(consumed > 1_000, "too little delivered");
+        assert!(
+            c.cycle() - last_consumed < 500,
+            "wedged: no consumption for {} cycles",
+            c.cycle() - last_consumed
+        );
     }
 }

@@ -72,6 +72,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let content = p.parse_value()?;
@@ -163,9 +164,16 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`from_str`] accepts. The parser
+/// recurses once per level, so without a cap one line of `[`s from an
+/// untrusted peer overflows the thread's stack and aborts the process.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -204,6 +212,20 @@ impl Parser<'_> {
         }
     }
 
+    /// Steps into an array or object at `pos`, refusing to nest deeper
+    /// than [`MAX_DEPTH`]. Its closing bracket steps back out.
+    fn open(&mut self) -> Result<(), Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
+    }
+
     fn parse_value(&mut self) -> Result<Content, Error> {
         self.skip_ws();
         match self.peek() {
@@ -212,11 +234,12 @@ impl Parser<'_> {
             Some(b'f') if self.eat_literal("false") => Ok(Content::Bool(false)),
             Some(b'"') => self.parse_string().map(Content::Str),
             Some(b'[') => {
-                self.pos += 1;
+                self.open()?;
                 let mut items = Vec::new();
                 self.skip_ws();
                 if self.peek() == Some(b']') {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Content::Seq(items));
                 }
                 loop {
@@ -226,6 +249,7 @@ impl Parser<'_> {
                         Some(b',') => self.pos += 1,
                         Some(b']') => {
                             self.pos += 1;
+                            self.depth -= 1;
                             return Ok(Content::Seq(items));
                         }
                         _ => return Err(Error::new(format!("bad array at byte {}", self.pos))),
@@ -233,11 +257,12 @@ impl Parser<'_> {
                 }
             }
             Some(b'{') => {
-                self.pos += 1;
+                self.open()?;
                 let mut entries = Vec::new();
                 self.skip_ws();
                 if self.peek() == Some(b'}') {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Content::Map(entries));
                 }
                 loop {
@@ -252,6 +277,7 @@ impl Parser<'_> {
                         Some(b',') => self.pos += 1,
                         Some(b'}') => {
                             self.pos += 1;
+                            self.depth -= 1;
                             return Ok(Content::Map(entries));
                         }
                         _ => return Err(Error::new(format!("bad object at byte {}", self.pos))),
@@ -395,6 +421,19 @@ mod tests {
         assert!(from_str::<Vec<u64>>("[1,2").is_err());
         assert!(from_str::<f64>("1 2").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Content>(&arrays(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Content>(&arrays(MAX_DEPTH + 1)).is_err());
+        assert!(from_str::<Content>(&arrays(200_000)).is_err());
+        // Siblings do not accumulate depth.
+        let wide = format!("[{}[]]", "[],".repeat(1_000));
+        assert!(from_str::<Content>(&wide).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(200_000), "}".repeat(200_000));
+        assert!(from_str::<Content>(&objects).is_err());
     }
 
     #[test]
